@@ -4,13 +4,14 @@
 # replicated-serving chaos drills + a coverage floor on the sharded
 # execution layer + a short fuzz smoke over the snapshot loader + a
 # five-second open-loop load smoke with the result cache enabled + the
-# hot-path bench gate against the committed BENCH_10.json baseline.
+# hot-path bench gate against the committed BENCH_10.json baseline + a vet
+# of the served-stack benchmark module.
 
 GO ?= go
 
-.PHONY: check lint lint-changed tixlint vet build test race bench bench-json bench-hotpath bench-gate fmt-check stress chaos cover fuzz-smoke loadsmoke
+.PHONY: check lint lint-changed tixlint vet build test race bench bench-json bench-hotpath bench-gate fmt-check stress chaos cover fuzz-smoke loadsmoke servebench-vet
 
-check: lint build race stress chaos cover fuzz-smoke loadsmoke bench-gate
+check: lint build race stress chaos cover fuzz-smoke loadsmoke bench-gate servebench-vet
 
 # The static-analysis gate: formatting, go vet, and the project's own
 # analyzers (see cmd/tixlint and DESIGN.md §9 + §14). tixlint compares
@@ -33,6 +34,12 @@ lint-changed:
 vet:
 	$(GO) vet ./...
 
+# servebench/ is its own Go module (replace repro => ../), so the root
+# `go build ./...` never compiles it: vet it separately, so a facade
+# change that breaks the served-stack benchmark fails the check.
+servebench-vet:
+	cd servebench && $(GO) vet ./...
+
 build:
 	$(GO) build ./...
 
@@ -47,7 +54,8 @@ race:
 # the shared Guard (and the shard fan-out shares one Guard across worker
 # goroutines), so repetition shakes out scheduling-dependent bugs. The
 # shard differential-equivalence suite runs here too — its results must be
-# schedule-independent by construction.
+# schedule-independent by construction. The facade-level limit and fault
+# tests of internal/db run through a one-segment shard.DB.
 stress:
 	$(GO) test -race -count=3 -run 'Cancel|Deadline|Limit|Fault|Guard|Shard' \
 		./internal/exec ./internal/db ./internal/server ./internal/shard
@@ -71,7 +79,7 @@ cover:
 		if (pct + 0 < 70) { print "coverage below 70% floor for internal/shard"; exit 1 } }'
 
 # Ten seconds of coverage-guided fuzzing each over db.Load (corrupted
-# snapshots), postings.FuzzBlockDecode (corrupted block payloads and skip
+# segment snapshots — the TIXDB2 segment loader every container load runs), postings.FuzzBlockDecode (corrupted block payloads and skip
 # tables), and postings.FuzzMemtableMerge (merged memtable/segment views
 # vs. the flat oracle): enough to catch regressions in the
 # corrupted-input and merge-cursor handling without slowing CI.
@@ -108,7 +116,9 @@ bench-json:
 # Regenerate the hot-path baseline: both rig tiers (the 20k-doc gate tier
 # and the million-document tier), with ns/op + allocs/op + bytes/op per
 # method, as the committed BENCH_10.json the gate compares against. The
-# 1M tier takes a few minutes; run after intentional perf changes.
+# 1M tier takes a few minutes and ~2.6 GB of memory; run after
+# intentional perf changes, on an otherwise idle machine, and commit the
+# result.
 bench-hotpath:
 	$(GO) run ./cmd/tixbench -table hotpath -json > BENCH_10.json
 	@echo "wrote BENCH_10.json"

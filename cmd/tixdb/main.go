@@ -84,7 +84,7 @@ func run(loads, deletes []string, query, terms, phrase string, topk int, complex
 	var d *shard.DB
 	if open != "" {
 		var err error
-		d, err = shard.OpenFile(open)
+		d, err = shard.LoadFile(open)
 		if err != nil {
 			return err
 		}
@@ -135,13 +135,7 @@ Threshold $a/@score > 4 stop after 5`
 	}
 	if save != "" {
 		d.Warm() // persist the indexes too
-		if d.Shards() == 1 {
-			// Keep single-shard snapshots in the legacy v1 format so they
-			// stay readable by older builds; OpenFile accepts both.
-			if err := d.Segment(0).SaveFile(save); err != nil {
-				return err
-			}
-		} else if err := d.SaveFile(save); err != nil {
+		if err := d.SaveFile(save); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "saved %s\n", save)

@@ -118,7 +118,7 @@ func main() {
 	var loads multiFlag
 	flag.Var(&loads, "load", "XML file to load (repeatable)")
 	flag.StringVar(&o.addr, "addr", ":8080", "listen address")
-	flag.StringVar(&o.open, "open", "", "database file written by tixdb -save (legacy or sharded format)")
+	flag.StringVar(&o.open, "open", "", "database file written by tixdb -save")
 	flag.IntVar(&o.shards, "shards", 0, "number of corpus shards queried in parallel (0 = keep an opened file's layout, else 1)")
 	flag.BoolVar(&o.stem, "stem", true, "index with the light plural stemmer")
 	flag.IntVar(&o.maxResults, "max-results", 100, "per-request result cap")
@@ -152,7 +152,7 @@ func buildReplica(o options) (*shard.DB, error) {
 	var d *shard.DB
 	if o.open != "" {
 		var err error
-		d, err = shard.OpenFile(o.open)
+		d, err = shard.LoadFile(o.open)
 		if err != nil {
 			return nil, err
 		}

@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/db"
+	"repro/internal/shard"
 	"repro/internal/xmltree"
 )
 
@@ -32,7 +32,7 @@ const articles = `
 
 func main() {
 	// A database with the light stemmer, matching the paper's examples.
-	d := db.New(db.Options{Stemming: true})
+	d := shard.New(shard.Options{Stemming: true})
 	if err := d.LoadString("articles.xml", articles); err != nil {
 		log.Fatal(err)
 	}

@@ -11,13 +11,13 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/db"
 	"repro/internal/fixture"
+	"repro/internal/shard"
 	"repro/internal/xmltree"
 )
 
 func main() {
-	d := db.New(db.Options{Stemming: true})
+	d := shard.New(shard.Options{Stemming: true})
 	if err := d.LoadString("articles.xml", fixture.ArticlesXML); err != nil {
 		log.Fatal(err)
 	}

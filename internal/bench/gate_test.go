@@ -177,16 +177,18 @@ func TestNoiseFloor(t *testing.T) {
 }
 
 // TestNoiseFloorGlobalDrift pins the epoch-drift credit: when the whole
-// pack of cells drifted together the gate reads it as environmental, but
-// one cell regressing against a steady pack still fails, and the credit
-// is capped.
+// pack of cells drifted together while the calibration cells moved, the
+// gate reads it as environmental; one cell regressing against a steady
+// pack still fails, a pack drifting on an unmoved calibration fails, and
+// the credit is capped.
 func TestNoiseFloorGlobalDrift(t *testing.T) {
+	calMove := 1.5
 	pack := func(packRatio, failRatio float64) (map[string]GateResult, map[string][]float64, []string) {
 		best := map[string]GateResult{}
 		ratios := map[string][]float64{}
 		var order []string
 		for i, key := range []string{"a", "b", "c", "d", "e"} {
-			r := GateResult{Table: "t", Row: "r", Method: key, Ratio: packRatio}
+			r := GateResult{Table: "t", Row: "r", Method: key, Ratio: packRatio, CalRatio: calMove}
 			if i == 0 {
 				r.Ratio = failRatio
 				r.TimeFailed = true
@@ -219,5 +221,52 @@ func TestNoiseFloorGlobalDrift(t *testing.T) {
 	applyNoiseFloor(best, ratios, order)
 	if !best["a"].Failed {
 		t.Error("drift credit beyond the cap must not excuse a 2.4x cell")
+	}
+
+	// The credit is bounded by how far the calibration moved: a 5% move
+	// cannot excuse a pack drift of 30%.
+	calMove = 1.05
+	best, ratios, order = pack(1.30, 1.35)
+	applyNoiseFloor(best, ratios, order)
+	if !best["a"].Failed {
+		t.Error("a 5% calibration move must not credit a 30% pack drift")
+	}
+}
+
+// TestGateFailsOnUniformSlowdown plants the regression a drift credit
+// could hide: every method 1.4x slower, attempt after attempt, on a
+// machine whose calibration loop did not move. The gate must fail every
+// cell; allocs/op stay unchanged, so time alone decides.
+func TestGateFailsOnUniformSlowdown(t *testing.T) {
+	methods := []Method{MTermJoin, MPhraseFinder, MComp1, MGenMeet}
+	baseline := []TableJSON{{ID: "hotpath-gate", Rows: []RowJSON{{Label: "dense"}}}}
+	for _, m := range methods {
+		baseline[0].Rows[0].Cells = append(baseline[0].Rows[0].Cells, CellJSON{Method: string(m), Seconds: 0.100, AllocsPerOp: 50})
+	}
+	baseline[0].Rows[0].Cells = append(baseline[0].Rows[0].Cells, CellJSON{Method: string(MCalibrate), Seconds: 0.010})
+	var attempts [][]GateResult
+	for a, jitter := range []float64{1.00, 1.01, 0.99} {
+		current := &Table{ID: "hotpath-gate", Rows: []Row{{Label: "dense"}}}
+		for _, m := range methods {
+			current.Rows[0].Cells = append(current.Rows[0].Cells, Cell{Method: m, M: Measurement{Seconds: 0.140 * jitter, AllocsPerOp: 50}})
+		}
+		current.Rows[0].Cells = append(current.Rows[0].Cells, Cell{Method: MCalibrate, M: Measurement{Seconds: 0.010}})
+		results, err := GateCompare(baseline, current)
+		if err != nil {
+			t.Fatalf("attempt %d: %v", a, err)
+		}
+		attempts = append(attempts, results)
+	}
+	verdicts, drift := judge(attempts)
+	if drift != 0 {
+		t.Errorf("drift credit %.2f with an unmoved calibration, want 0", drift)
+	}
+	if len(verdicts) != len(methods) {
+		t.Fatalf("%d verdicts, want %d", len(verdicts), len(methods))
+	}
+	for _, v := range verdicts {
+		if !v.Failed || !v.TimeFailed {
+			t.Errorf("%s: uniform 1.4x slowdown passed the gate: %+v", v.Method, v)
+		}
 	}
 }

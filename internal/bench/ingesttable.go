@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/db"
+	"repro/internal/shard"
 )
 
 // ingestParts bounds the document count of the ingest experiment: the
@@ -39,7 +40,7 @@ func (c *Corpus) IngestTable() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	bulk := db.New(db.Options{})
+	bulk := shard.New(shard.Options{})
 	for i, r := range roots {
 		if err := bulk.LoadTree(fmt.Sprintf("part%03d.xml", i), r); err != nil {
 			return nil, err
@@ -80,7 +81,7 @@ func (c *Corpus) IngestTable() (*Table, error) {
 		stop     = make(chan struct{})
 	)
 	start = time.Now()
-	live, err := c.ingestDB(1, func(d *db.DB) {
+	live, err := c.ingestDB(1, func(d *shard.DB) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -138,8 +139,8 @@ func (c *Corpus) IngestTable() (*Table, error) {
 // via the live Add path. onEmpty, when non-nil, runs after the empty
 // database is warmed and before the first Add (the hook the concurrent
 // reader starts from).
-func (c *Corpus) ingestDB(n int, onEmpty func(*db.DB)) (*db.DB, error) {
-	d := db.New(db.Options{})
+func (c *Corpus) ingestDB(n int, onEmpty func(*shard.DB)) (*shard.DB, error) {
+	d := shard.New(shard.Options{})
 	d.Warm()
 	if onEmpty != nil {
 		onEmpty(d)
@@ -153,7 +154,7 @@ func (c *Corpus) ingestDB(n int, onEmpty func(*db.DB)) (*db.DB, error) {
 // ingestInto adds split documents [lo, hi) to d. The split is recomputed
 // per call: stores take ownership of loaded trees, so two databases must
 // never share one.
-func (c *Corpus) ingestInto(d *db.DB, lo, hi int) error {
+func (c *Corpus) ingestInto(d *shard.DB, lo, hi int) error {
 	parts := ingestParts
 	if a := c.Cfg.Articles; a < parts {
 		parts = a
@@ -163,7 +164,7 @@ func (c *Corpus) ingestInto(d *db.DB, lo, hi int) error {
 		return err
 	}
 	for i := lo; i < hi; i++ {
-		if err := d.AddTree(fmt.Sprintf("part%03d.xml", i), roots[i]); err != nil {
+		if err := d.LoadTree(fmt.Sprintf("part%03d.xml", i), roots[i]); err != nil {
 			return err
 		}
 	}
@@ -172,7 +173,7 @@ func (c *Corpus) ingestInto(d *db.DB, lo, hi int) error {
 
 // checkProbe asserts the grown database answers the probe query with the
 // bulk-loaded oracle's result count.
-func (c *Corpus) checkProbe(d *db.DB, probe []string, want int) error {
+func (c *Corpus) checkProbe(d *shard.DB, probe []string, want int) error {
 	got, err := d.TermSearch(probe, db.TermSearchOptions{})
 	if err != nil {
 		return err

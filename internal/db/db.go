@@ -1,27 +1,21 @@
-// Package db is the database facade of the reproduction — the stand-in for
-// the Timber system the paper ran on. It owns document loading, index
-// construction, and query evaluation: extended-XQuery strings (internal/xq)
-// for the paper's Query 1/2 shapes, and programmatic APIs for term search,
-// phrase search, and the Query 3 similarity join.
+// Package db is one segment of the database — the stand-in for the Timber
+// store and term index the paper ran on. A segment owns a document store,
+// a live inverted index over it, its own persistence (the TIXDB2 segment
+// snapshot) and the document mutation API. Queries reach a segment only
+// through the facade in internal/shard, which reads through View: one
+// pinned index snapshot plus the document table covering it.
 package db
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/exec"
 	"repro/internal/index"
 	"repro/internal/metrics"
 	"repro/internal/pattern"
-	"repro/internal/rescache"
 	"repro/internal/scoring"
 	"repro/internal/storage"
 	"repro/internal/tokenize"
@@ -29,23 +23,20 @@ import (
 	"repro/internal/xq"
 )
 
-// DB is an XML database instance. Queries may run concurrently with the
-// document mutation API (Add/Update/Delete): readers work over immutable
-// index snapshots, writers are serialized by the facade's mutation lock.
+// DB is one segment: a store plus a live index. Reads take a View, which
+// may be used concurrently with the mutation API (Add/Update/Delete):
+// writers are serialized by the segment mutex, and a View is an immutable
+// cut taken under it.
 type DB struct {
 	store *storage.Store
 	tok   *tokenize.Tokenizer
 	opts  Options
 
-	mu   sync.Mutex  // serializes mutations and live-index creation
-	live *index.Live // created on first Index()/Warm()/mutation
-
-	// cache, when set, memoizes successful term/phrase/query results per
-	// generation token (see cache.go).
-	cache atomic.Pointer[rescache.Cache]
+	mu   sync.Mutex  // serializes mutations, live-index creation and View
+	live *index.Live // created on first View()/Index()/Warm()/mutation
 }
 
-// Options configures a database.
+// Options configures a segment.
 type Options struct {
 	// Stemming enables the light plural-stripping stemmer, which the
 	// paper's worked examples assume (Figures 5–8 score "search engines"
@@ -54,60 +45,16 @@ type Options struct {
 	// Stopwords, when non-empty, are dropped from the index (they still
 	// consume word offsets so phrase adjacency is preserved).
 	Stopwords []string
-	// Metrics, when non-nil, receives the per-query instrumentation
-	// (latency histograms, result counts, store-access counters) instead
+	// Metrics, when non-nil, receives the ingest instrumentation instead
 	// of the process-wide metrics.Default registry.
 	Metrics *metrics.Registry
-	// Limits is the default per-query resource budget (wall-clock
-	// timeout, result cap, store-access cap) applied by every Context
-	// entry point. The zero value means unlimited. Per-call budgets
-	// (e.g. QueryLimited, TermSearchOptions.Limits) take precedence.
-	Limits exec.Limits
 	// Ingest tunes the live-index LSM behaviour (memtable seal size,
 	// segment fold bound, background compaction). The zero value selects
 	// the defaults; see index.LiveConfig.
 	Ingest index.LiveConfig
-	// CacheBytes, when positive, attaches a generation-keyed result cache
-	// with that total byte budget (see internal/rescache and cache.go).
-	CacheBytes int64
 }
 
-// ErrPanic marks errors produced by recovering a panic at the facade
-// boundary; db.observe classifies them into tix_query_panics_total, and
-// the fleet layer treats them as replica faults eligible for retry on a
-// healthy twin.
-var ErrPanic = errors.New("db: recovered panic")
-
-// recoverPanic converts a panic inside the evaluation engine into a
-// returned error, so injected storage faults and operator bugs degrade to
-// errors instead of crashing the process. Deferred at every facade entry
-// point, after the metrics defer (defers run LIFO, so the observation sees
-// the recovered error).
-func recoverPanic(errp *error) {
-	r := recover()
-	if r == nil {
-		return
-	}
-	if ferr, ok := r.(error); ok && errors.Is(ferr, storage.ErrInjectedFault) {
-		*errp = fmt.Errorf("db: storage fault: %w", ferr)
-		return
-	}
-	*errp = fmt.Errorf("%w: %v", ErrPanic, r)
-}
-
-// SetLimits replaces the database's default per-query resource budget
-// (applied by every Context entry point when no per-call budget is given).
-func (d *DB) SetLimits(l exec.Limits) { d.opts.Limits = l }
-
-// limitsOr returns the per-call budget when set, else the database default.
-func (d *DB) limitsOr(limits exec.Limits) exec.Limits {
-	if limits == (exec.Limits{}) {
-		return d.opts.Limits
-	}
-	return limits
-}
-
-// New creates an empty database.
+// New creates an empty segment.
 func New(opts Options) *DB {
 	var tok *tokenize.Tokenizer
 	switch {
@@ -118,15 +65,20 @@ func New(opts Options) *DB {
 	default:
 		tok = tokenize.New()
 	}
-	d := &DB{store: storage.NewStore(), tok: tok, opts: opts}
-	if opts.CacheBytes > 0 {
-		d.EnableResultCache(opts.CacheBytes)
-	}
-	return d
+	return &DB{store: storage.NewStore(), tok: tok, opts: opts}
 }
 
 // Store exposes the underlying node store.
 func (d *DB) Store() *storage.Store { return d.store }
+
+// MetricsRegistry returns the registry ingest metrics record into:
+// Options.Metrics when set, else the process-wide metrics.Default.
+func (d *DB) MetricsRegistry() *metrics.Registry {
+	if d.opts.Metrics != nil {
+		return d.opts.Metrics
+	}
+	return metrics.Default
+}
 
 // DocumentCount returns the number of live (non-deleted) documents
 // without forcing index construction (the cheap health-probe counterpart
@@ -144,16 +96,13 @@ func (d *DB) DocumentCount() int {
 
 // Warm forces construction of every lazily-built structure (today: the
 // inverted index), so that concurrent read-only use afterwards never
-// triggers a build. The server and the sharded facade call it before
-// accepting traffic.
+// triggers a build.
 func (d *DB) Warm() { d.Index() }
 
 // Tokenizer exposes the tokenizer documents are indexed with.
 func (d *DB) Tokenizer() *tokenize.Tokenizer { return d.tok }
 
-// Options returns a copy of the options the database was created with,
-// so wrappers (the sharded facade, resharding) can build compatible
-// instances.
+// Options returns a copy of the options the segment was created with.
 func (d *DB) Options() Options { return d.opts }
 
 // LoadTree loads an already-parsed tree under the given document name.
@@ -184,66 +133,82 @@ func (d *DB) LoadString(name, src string) error {
 	return d.LoadTree(name, root)
 }
 
-// LoadReader parses and loads an XML document from r.
-func (d *DB) LoadReader(name string, r io.Reader) error {
-	root, err := xmltree.Parse(r)
-	if err != nil {
-		return fmt.Errorf("db: load %s: %w", name, err)
-	}
-	return d.LoadTree(name, root)
-}
-
-// LoadFile parses and loads an XML file; the document name is the file's
-// base name.
-func (d *DB) LoadFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("db: %w", err)
-	}
-	defer f.Close()
-	return d.LoadReader(filepath.Base(path), f)
-}
-
-// RemoveDocument unloads a document by name. Because document ids are
-// positional, the store is rebuilt from the remaining documents (an O(N)
-// operation) and the inverted index is invalidated; ids of later documents
-// shift down, exactly as if the database had been loaded without the
-// removed document.
-func (d *DB) RemoveDocument(name string) error {
-	old := d.store
-	if old.DocByName(name) == nil {
-		return fmt.Errorf("db: document %q not loaded", name)
-	}
-	fresh := storage.NewStore()
-	for _, doc := range old.Docs() {
-		if doc.Name == name {
-			continue
-		}
-		if _, err := fresh.AddTree(doc.Name, doc.Root); err != nil {
-			return fmt.Errorf("db: rebuild after remove: %w", err)
-		}
-	}
-	d.store = fresh
-	d.live = nil
-	// The rebuilt live index restarts its generation counter; stale
-	// entries must not survive to collide with the fresh numbering.
-	d.purgeCache()
-	return nil
-}
-
 // Index returns an immutable snapshot of the inverted index, building the
 // live index on first use after a load. Snapshots are cached per mutation
-// generation: with no writes in flight repeated calls return the same
-// *index.Index, and concurrent queries over one snapshot see a frozen,
-// consistent corpus.
+// generation. Use View, not Index, to read documents alongside it.
 func (d *DB) Index() *index.Index {
 	return d.liveIndex().Snapshot()
 }
 
+// View is one consistent read cut of a segment: an index snapshot and
+// the document table it was taken with. Both are captured under the
+// segment mutex, so every document id the snapshot names is in the
+// table; readers build their accessors from the view, never from the
+// live store, and cannot pair a store and an index of different
+// generations.
+type View struct {
+	Store *storage.Store
+	Index *index.Index
+	docs  []*storage.Document
+}
+
+// View pins the current index snapshot and the document table covering
+// it. An invariant violation during the initial index build panics,
+// exactly as index.Build does; the facade recovers it into a classified
+// error.
+func (d *DB) View() View {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return View{Store: d.store, Index: d.liveLocked().Snapshot(), docs: d.store.Docs()}
+}
+
+// Accessor returns an accounting accessor over the view's document table,
+// attached to the guard's budget (a plain accessor for a nil guard).
+func (v View) Accessor(g *exec.Guard) *storage.Accessor {
+	return g.Attach(storage.NewTableAccessor(v.Store, v.docs))
+}
+
+// Docs returns the documents visible in the view, in id order: the
+// snapshot's live documents, none of them newer than the view's table.
+func (v View) Docs() []*storage.Document {
+	docs := v.Index.Docs()
+	for len(docs) > 0 && int(docs[len(docs)-1].ID) >= len(v.docs) {
+		docs = docs[:len(docs)-1]
+	}
+	return docs
+}
+
+// DocByName returns the document the view knows under name: the store's
+// current binding when the view covers it, else — the name was re-bound
+// by an Update after the view was taken — the newest version in the
+// view's table.
+func (v View) DocByName(name string) *storage.Document {
+	if doc := v.Store.DocByName(name); doc == nil || int(doc.ID) < len(v.docs) {
+		return doc
+	}
+	for i := len(v.docs) - 1; i >= 0; i-- {
+		if v.docs[i].Name == name {
+			return v.docs[i]
+		}
+	}
+	return nil
+}
+
+// Engine returns an extended-XQuery engine reading through the view.
+func (v View) Engine(g *exec.Guard, stats *storage.AccessStats) *xq.Engine {
+	return &xq.Engine{Store: v.Store, Index: v.Index, Stats: stats, Guard: g, Docs: v}
+}
+
+// QueryLimited parses and evaluates an extended-XQuery query over one
+// view of this segment, with segment-local document ids in the results.
+// It has no cache, metrics or panic recovery: the shard facade adds
+// those.
+func (d *DB) QueryLimited(ctx context.Context, src string, limits exec.Limits) ([]xq.Result, error) {
+	return d.View().Engine(exec.NewGuard(ctx, limits), nil).EvalString(src)
+}
+
 // liveIndex returns the live (mutable) index, creating it over the
-// store's current contents on first use. An invariant violation during
-// the initial build panics, exactly as index.Build does; the facade entry
-// points recover it into a classified error.
+// store's current contents on first use.
 func (d *DB) liveIndex() *index.Live {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -261,18 +226,7 @@ func (d *DB) liveLocked() *index.Live {
 	return d.live
 }
 
-// adoptIndex installs an already-restored flat index as the live base
-// segment (the persistence load path).
-func (d *DB) adoptIndex(idx *index.Index) {
-	d.mu.Lock()
-	d.live = index.LiveFromIndex(idx, d.opts.Ingest)
-	d.mu.Unlock()
-	// The adopted index restarts the generation counter: purge, as in
-	// RemoveDocument.
-	d.purgeCache()
-}
-
-// Stats summarizes the database contents.
+// Stats summarizes the segment contents.
 type Stats struct {
 	Documents   int
 	Nodes       int
@@ -298,83 +252,7 @@ func (d *DB) Stats() Stats {
 	return st
 }
 
-// Query parses and evaluates an extended-XQuery query (the Sec. 4 dialect).
-func (d *DB) Query(src string) ([]xq.Result, error) {
-	return d.QueryContext(context.Background(), src)
-}
-
-// QueryContext is Query with cooperative cancellation: the evaluation
-// stops within one check interval of ctx being canceled or its deadline
-// passing, and respects the database's default resource limits.
-func (d *DB) QueryContext(ctx context.Context, src string) ([]xq.Result, error) {
-	return d.QueryLimited(ctx, src, d.opts.Limits)
-}
-
-// QueryLimited is QueryContext with an explicit per-call resource budget.
-func (d *DB) QueryLimited(ctx context.Context, src string, limits exec.Limits) (results []xq.Result, err error) {
-	start := time.Now()
-	var stats storage.AccessStats
-	defer func() { d.observe(opQuery, start, len(results), stats, err) }()
-	if c, tok, ok := d.queryCache(); ok {
-		key := rescache.QueryKey(tok, src, limits)
-		if hit, found := rescache.GetSlice[xq.Result](c, key); found {
-			results = hit
-			return results, nil
-		}
-		// Registered before recoverPanic so a recovered panic reaches err
-		// first and poisoned results are never cached.
-		defer func() {
-			if err == nil {
-				rescache.PutSlice(c, key, results)
-			}
-		}()
-	}
-	defer recoverPanic(&err)
-	e := &xq.Engine{Store: d.store, Index: d.Index(), Stats: &stats, Guard: exec.NewGuard(ctx, limits)}
-	results, err = e.EvalString(src)
-	return results, err
-}
-
-// QueryRendered evaluates a query and renders each result through the
-// query's Return template (or the canonical <result> shape when the query
-// has none).
-func (d *DB) QueryRendered(src string) ([]string, []xq.Result, error) {
-	return d.QueryRenderedContext(context.Background(), src)
-}
-
-// QueryRenderedContext is QueryRendered with cooperative cancellation and
-// the database's default resource limits.
-func (d *DB) QueryRenderedContext(ctx context.Context, src string) (rendered []string, results []xq.Result, err error) {
-	start := time.Now()
-	var stats storage.AccessStats
-	defer func() { d.observe(opQuery, start, len(results), stats, err) }()
-	defer recoverPanic(&err)
-	q, err := xq.Parse(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	e := &xq.Engine{Store: d.store, Index: d.Index(), Stats: &stats, Guard: exec.NewGuard(ctx, d.opts.Limits)}
-	results, err = e.Eval(q)
-	if err != nil {
-		return nil, nil, err
-	}
-	rendered = make([]string, len(results))
-	for i, r := range results {
-		rendered[i] = q.Render(r)
-	}
-	return rendered, results, nil
-}
-
-// Explain renders the physical plan for a query without executing it.
-func (d *DB) Explain(src string) (string, error) {
-	start := time.Now()
-	e := &xq.Engine{Store: d.store, Index: d.Index()}
-	plan, err := e.Explain(src)
-	d.observe(opExplain, start, 0, storage.AccessStats{}, err)
-	return plan, err
-}
-
-// TermSearchOptions configures TermSearch.
+// TermSearchOptions configures a term search.
 type TermSearchOptions struct {
 	// Complex selects the complex scoring function of Sec. 6.1.
 	Complex bool
@@ -390,203 +268,9 @@ type TermSearchOptions struct {
 	MinScore float64
 	// Weights per term (defaults to 1 each).
 	Weights []float64
-	// Parallel partitions the evaluation across this many worker
-	// goroutines, one document range each (0 = sequential).
-	Parallel int
 	// Limits is the per-call resource budget; the zero value falls back
-	// to the database's default (Options.Limits).
+	// to the facade's default.
 	Limits exec.Limits
-}
-
-// TermSearch scores every element containing at least one of the terms,
-// using the TermJoin access method, and returns results best-first.
-func (d *DB) TermSearch(terms []string, opts TermSearchOptions) ([]exec.ScoredNode, error) {
-	return d.TermSearchContext(context.Background(), terms, opts)
-}
-
-// TermSearchContext is TermSearch with cooperative cancellation and
-// resource budgets: the scan stops within one check interval of ctx being
-// canceled, the deadline passing, or a budget running out.
-func (d *DB) TermSearchContext(ctx context.Context, terms []string, opts TermSearchOptions) (results []exec.ScoredNode, err error) {
-	mode := exec.ChildCountNavigate
-	if opts.Enhanced {
-		mode = exec.ChildCountIndexed
-	}
-	q := exec.TermQuery{
-		Terms:   terms,
-		Complex: opts.Complex,
-		Scorer: exec.DefaultScorer{
-			SimpleFn:  scoring.SimpleScorer{Weights: opts.Weights},
-			ComplexFn: scoring.ComplexScorer{Weights: opts.Weights},
-		},
-	}
-	start := time.Now()
-	eff := d.limitsOr(opts.Limits)
-	var reporter exec.AccessReporter
-	defer func() {
-		var stats storage.AccessStats
-		if reporter != nil {
-			stats = reporter.AccessStats()
-		}
-		d.observe(opTerms, start, len(results), stats, err)
-	}()
-	if c, tok, ok := d.queryCache(); ok {
-		key := rescache.TermKey(tok, terms, rescache.TermOpts{
-			Complex: opts.Complex, TopK: opts.TopK, MinScore: opts.MinScore,
-			Weights: opts.Weights, Limits: eff,
-		})
-		if hit, found := rescache.GetSlice[exec.ScoredNode](c, key); found {
-			results = hit
-			return results, nil
-		}
-		defer func() {
-			if err == nil {
-				rescache.PutSlice(c, key, results)
-			}
-		}()
-	}
-	defer recoverPanic(&err)
-	guard := exec.NewGuard(ctx, eff)
-	run := func(emit exec.Emit) error {
-		if opts.MinScore > 0 {
-			emit = exec.FilterMinScore(opts.MinScore, emit)
-		}
-		if opts.Parallel > 0 {
-			p := &exec.ParallelTermJoin{Index: d.Index(), Query: q, Workers: opts.Parallel, ChildCounts: mode, Guard: guard}
-			reporter = p
-			return p.Run(emit)
-		}
-		tj := &exec.TermJoin{Index: d.Index(), Acc: storage.NewAccessor(d.store), Query: q, ChildCounts: mode, Guard: guard}
-		reporter = tj
-		return tj.Run(emit)
-	}
-	if opts.TopK > 0 {
-		tk := exec.NewTopK(opts.TopK)
-		if err = run(tk.Emit()); err != nil {
-			return nil, err
-		}
-		results = tk.Results()
-		return results, nil
-	}
-	out, err := exec.Collect(run)
-	if err != nil {
-		return nil, err
-	}
-	tk := exec.NewTopK(len(out))
-	for _, n := range out {
-		tk.Offer(n)
-	}
-	results = tk.Results()
-	return results, nil
-}
-
-// PhraseSearch returns every occurrence of the phrase via PhraseFinder.
-func (d *DB) PhraseSearch(phrase []string) ([]exec.PhraseMatch, error) {
-	return d.PhraseSearchContext(context.Background(), phrase)
-}
-
-// PhraseSearchContext is PhraseSearch with cooperative cancellation and
-// the database's default resource limits.
-func (d *DB) PhraseSearchContext(ctx context.Context, phrase []string) (ms []exec.PhraseMatch, err error) {
-	start := time.Now()
-	var pf *exec.PhraseFinder
-	defer func() {
-		var stats storage.AccessStats
-		if pf != nil {
-			stats = pf.AccessStats()
-		}
-		d.observe(opPhrase, start, len(ms), stats, err)
-	}()
-	if c, tok, ok := d.queryCache(); ok {
-		key := rescache.PhraseKey(tok, phrase, d.opts.Limits)
-		if hit, found := rescache.GetSlice[exec.PhraseMatch](c, key); found {
-			ms = hit
-			return ms, nil
-		}
-		defer func() {
-			if err == nil {
-				rescache.PutSlice(c, key, ms)
-			}
-		}()
-	}
-	defer recoverPanic(&err)
-	pf = &exec.PhraseFinder{Index: d.Index(), Phrase: phrase, Guard: exec.NewGuard(ctx, d.opts.Limits)}
-	ms, err = exec.CollectPhrase(pf.Run)
-	return ms, err
-}
-
-// Materialize returns the xmltree subtree for a result element.
-func (d *DB) Materialize(doc storage.DocID, ord int32) *xmltree.Node {
-	return storage.NewAccessor(d.store).Materialize(doc, ord)
-}
-
-// NameOf returns the element tag name of a scored node.
-func (d *DB) NameOf(n exec.ScoredNode) string {
-	doc := d.store.Doc(n.Doc)
-	if doc == nil {
-		return ""
-	}
-	return d.store.Tags.Name(doc.Nodes[n.Ord].Tag)
-}
-
-// TwigSearch runs the holistic twig join (TwigStack) for a structural tag
-// pattern against every loaded document and returns matches as
-// materialized subtrees of the pattern root's bindings, deduplicated and
-// in document order. Use exec.Twig / exec.TwigChild to build the pattern.
-func (d *DB) TwigSearch(pattern *exec.TwigNode) ([]*xmltree.Node, error) {
-	return d.TwigSearchContext(context.Background(), pattern)
-}
-
-// TwigSearchContext is TwigSearch with cooperative cancellation and the
-// database's default resource limits.
-func (d *DB) TwigSearchContext(ctx context.Context, pattern *exec.TwigNode) (out []*xmltree.Node, err error) {
-	refs, err := d.TwigRefsContext(ctx, pattern)
-	if err != nil {
-		return nil, err
-	}
-	out = make([]*xmltree.Node, 0, len(refs))
-	for _, ref := range refs {
-		out = append(out, d.store.Doc(ref.Doc).TreeNode(ref.Ord))
-	}
-	return out, nil
-}
-
-// TwigRef identifies one twig-match root element by position: the loaded
-// document and the element's start ordinal within it. Unlike the
-// materialized tree pointers of TwigSearch, refs are comparable across
-// database instances holding the same documents — the identity the
-// differential test suites (and the sharded facade) join on.
-type TwigRef struct {
-	Doc storage.DocID
-	Ord int32
-}
-
-// TwigRefsContext runs the holistic twig join and returns the pattern
-// root's bindings as refs, deduplicated, in document order.
-func (d *DB) TwigRefsContext(ctx context.Context, pattern *exec.TwigNode) (out []TwigRef, err error) {
-	start := time.Now()
-	var stats storage.AccessStats
-	defer func() { d.observe(opTwig, start, len(out), stats, err) }()
-	defer recoverPanic(&err)
-	guard := exec.NewGuard(ctx, d.opts.Limits)
-	for _, doc := range d.Index().Docs() {
-		ts := &exec.TwigStack{Store: d.store, Doc: doc.ID, Root: pattern, Guard: guard}
-		matches, terr := ts.Run()
-		stats.Add(ts.AccessStats())
-		if terr != nil {
-			return nil, terr
-		}
-		seen := map[int32]bool{}
-		for _, m := range matches {
-			root := m[0]
-			if seen[root] {
-				continue
-			}
-			seen[root] = true
-			out = append(out, TwigRef{Doc: doc.ID, Ord: root})
-		}
-	}
-	return out, nil
 }
 
 // SimilarityJoinSpec describes a Query 3-style IR join: components of the
@@ -620,29 +304,11 @@ type JoinedResult struct {
 	Right *xmltree.Node
 }
 
-// SimilarityJoin evaluates a Query 3-style join through the TIX algebra,
-// best-first.
+// SimilarityJoin evaluates a Query 3-style join between two documents of
+// this segment through the TIX algebra, best-first. The algebra path
+// evaluates over xmltree values in one non-streaming pass, so it has no
+// accounting accessor and no cancellation points.
 func (d *DB) SimilarityJoin(spec SimilarityJoinSpec) ([]JoinedResult, error) {
-	return d.SimilarityJoinContext(context.Background(), spec)
-}
-
-// SimilarityJoinContext is SimilarityJoin with panic recovery and an
-// up-front cancellation check. The algebra path evaluates over xmltree
-// values in one non-streaming pass, so cancellation is only observed at
-// entry, not mid-join; use the extended-XQuery join shape (QueryContext)
-// for cooperatively cancellable joins.
-func (d *DB) SimilarityJoinContext(ctx context.Context, spec SimilarityJoinSpec) (results []JoinedResult, err error) {
-	start := time.Now()
-	// The algebra path evaluates over xmltree values directly, so there is
-	// no accounting accessor; latency and result counts still record.
-	defer func() { d.observe(opJoin, start, len(results), storage.AccessStats{}, err) }()
-	defer recoverPanic(&err)
-	if cerr := ctx.Err(); cerr != nil {
-		if errors.Is(cerr, context.DeadlineExceeded) {
-			return nil, exec.ErrDeadlineExceeded
-		}
-		return nil, exec.ErrCanceled
-	}
 	left := d.store.DocByName(spec.LeftDoc)
 	right := d.store.DocByName(spec.RightDoc)
 	if left == nil || right == nil {

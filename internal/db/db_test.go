@@ -1,13 +1,8 @@
 package db
 
 import (
-	"math"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
-	"repro/internal/exec"
 	"repro/internal/fixture"
 )
 
@@ -23,225 +18,6 @@ func newFixtureDB(t testing.TB) *DB {
 	return d
 }
 
-func approx(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
-
-func TestLoadFileAndStats(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "articles.xml")
-	if err := os.WriteFile(path, []byte(fixture.ArticlesXML), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	d := New(Options{Stemming: true})
-	if err := d.LoadFile(path); err != nil {
-		t.Fatal(err)
-	}
-	st := d.Stats()
-	if st.Documents != 1 || st.Nodes == 0 || st.Elements == 0 || st.Terms == 0 || st.Occurrences == 0 {
-		t.Errorf("stats = %+v", st)
-	}
-	if err := d.LoadFile(filepath.Join(dir, "missing.xml")); err == nil {
-		t.Errorf("missing file should error")
-	}
-	if err := d.LoadString("bad.xml", "<a><b></a>"); err == nil {
-		t.Errorf("malformed XML should error")
-	}
-	if err := d.LoadString("articles.xml", "<a/>"); err == nil {
-		t.Errorf("duplicate name should error")
-	}
-}
-
-// TestQuery2Integration runs the paper's Query 2 through the full stack:
-// parser → path evaluation → PhraseFinder → TermJoin → StackPick →
-// threshold. The expected top result is the chapter #a10 (Example 3.1).
-func TestQuery2Integration(t *testing.T) {
-	d := newFixtureDB(t)
-	results, err := d.Query(`
-		For $a := document("articles.xml")//article[/author/sname/text()="Doe"]/descendant-or-self::*
-		Score $a using ScoreFoo($a, {"search engine"}, {"internet", "information retrieval"})
-		Pick $a using PickFoo($a)
-		Return <result><score>$a/@score</score>{ $a }</result>
-		Sortby(score)
-		Threshold $a/@score > 4 stop after 5
-	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 1 {
-		t.Fatalf("results = %d, want 1", len(results))
-	}
-	if results[0].Node.Tag != "chapter" || !approx(results[0].Score, 5.0) {
-		t.Errorf("top = %s[%f], want chapter[5.0]", results[0].Node.Tag, results[0].Score)
-	}
-	// The returned subtree is the real chapter content.
-	if got := results[0].Node.FirstTag("ct"); got == nil || got.AllText() != "Search and Retrieval" {
-		t.Errorf("chapter content wrong")
-	}
-}
-
-// TestQuery3Integration runs the similarity join of Query 3: articles with
-// relevant components joined to reviews with similar titles.
-func TestQuery3Integration(t *testing.T) {
-	d := newFixtureDB(t)
-	results, err := d.SimilarityJoin(SimilarityJoinSpec{
-		LeftDoc:   "articles.xml",
-		RightDoc:  "reviews.xml",
-		LeftRoot:  "article",
-		RightRoot: "review",
-		LeftKey:   "article-title",
-		RightKey:  "title",
-		Primary:   fixture.PrimaryPhrases,
-		Secondary: fixture.SecondaryPhrases,
-		MinSim:    1, // Threshold simScore > 1, as in Fig. 10
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) == 0 {
-		t.Fatalf("no join results")
-	}
-	// Best result: the whole article (component score 5.6) with review 1
-	// (identical title, sim 2) → 7.6.
-	best := results[0]
-	if !approx(best.Score, 7.6) || !approx(best.Sim, 2) {
-		t.Errorf("best = %+v, want score 7.6 sim 2", best)
-	}
-	if best.Right.FirstTag("title") == nil {
-		t.Errorf("right side lost title")
-	}
-	if id, _ := best.Right.Attr("id"); id != "1" {
-		t.Errorf("best review id = %s, want 1", id)
-	}
-	// All results obey MinSim and are sorted.
-	for i, r := range results {
-		if r.Sim <= 1 {
-			t.Errorf("result %d violates MinSim: %+v", i, r)
-		}
-		if i > 0 && r.Score > results[i-1].Score {
-			t.Errorf("not sorted at %d", i)
-		}
-	}
-	// The Fig. 7 witness — paragraph #a18 with review 1 — appears with
-	// combined score 2.8.
-	found := false
-	for _, r := range results {
-		if r.Component.Tag == "p" && approx(r.Score, 2.8) {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("Fig. 7 result (p, 2.8) missing")
-	}
-}
-
-func TestTermSearch(t *testing.T) {
-	d := newFixtureDB(t)
-	results, err := d.TermSearch([]string{"search", "retrieval"}, TermSearchOptions{TopK: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("results = %d", len(results))
-	}
-	for i := 1; i < len(results); i++ {
-		if results[i].Score > results[i-1].Score {
-			t.Errorf("not best-first")
-		}
-	}
-	// The article root should be the global best (contains everything).
-	if d.NameOf(results[0]) != "article" {
-		t.Errorf("best = %s, want article", d.NameOf(results[0]))
-	}
-	// Complex and Enhanced agree.
-	c1, err := d.TermSearch([]string{"search", "engine"}, TermSearchOptions{Complex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := d.TermSearch([]string{"search", "engine"}, TermSearchOptions{Complex: true, Enhanced: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c1) != len(c2) {
-		t.Fatalf("enhanced disagrees: %d vs %d", len(c1), len(c2))
-	}
-	for i := range c1 {
-		if c1[i] != c2[i] {
-			t.Errorf("enhanced result %d differs", i)
-		}
-	}
-}
-
-func TestTermSearchParallelMatchesSequential(t *testing.T) {
-	d := newFixtureDB(t)
-	seq, err := d.TermSearch([]string{"search", "retrieval"}, TermSearchOptions{Complex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := d.TermSearch([]string{"search", "retrieval"}, TermSearchOptions{Complex: true, Parallel: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq) != len(par) {
-		t.Fatalf("parallel %d vs sequential %d", len(par), len(seq))
-	}
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Errorf("result %d differs: %+v vs %+v", i, seq[i], par[i])
-		}
-	}
-}
-
-func TestPhraseSearchAndMaterialize(t *testing.T) {
-	d := newFixtureDB(t)
-	ms, err := d.PhraseSearch([]string{"information", "retrieval"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != 3 {
-		t.Errorf("matches = %d, want 3 (#a15 title, #a19, #a20)", len(ms))
-	}
-	n := d.Materialize(ms[0].Doc, ms[0].Node)
-	if n == nil || !strings.Contains(strings.ToLower(n.AllText()), "information retrieval") {
-		t.Errorf("materialized node does not contain the phrase: %v", n)
-	}
-}
-
-func TestTwigSearch(t *testing.T) {
-	d := newFixtureDB(t)
-	// Articles that have both an author with an sname and a paragraph.
-	got, err := d.TwigSearch(exec.Twig("article",
-		exec.Twig("author", exec.Twig("sname")),
-		exec.Twig("p")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Tag != "article" {
-		t.Fatalf("twig results = %v", got)
-	}
-	// Chapters directly containing a ct child.
-	got, err = d.TwigSearch(exec.Twig("chapter", exec.TwigChild("ct")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Errorf("chapter/ct = %d, want 3", len(got))
-	}
-	// No match across documents mixes nothing up.
-	got, err = d.TwigSearch(exec.Twig("review", exec.Twig("sname")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 { // review 1 has reviewer/sname
-		t.Errorf("review//sname = %d, want 1", len(got))
-	}
-}
-
-func TestSimilarityJoinErrors(t *testing.T) {
-	d := New(Options{})
-	if _, err := d.SimilarityJoin(SimilarityJoinSpec{LeftDoc: "a", RightDoc: "b"}); err == nil {
-		t.Errorf("missing documents should error")
-	}
-}
-
 func TestStopwordsOption(t *testing.T) {
 	d := New(Options{Stopwords: []string{"the", "and"}})
 	if err := d.LoadString("x.xml", `<a>the cat and the hat</a>`); err != nil {
@@ -253,53 +29,6 @@ func TestStopwordsOption(t *testing.T) {
 	}
 	if idx.TermFreq("cat") != 1 || idx.TermFreq("hat") != 1 {
 		t.Errorf("content words missing")
-	}
-}
-
-func TestRemoveDocument(t *testing.T) {
-	d := newFixtureDB(t)
-	if d.Stats().Documents != 2 {
-		t.Fatalf("documents = %d", d.Stats().Documents)
-	}
-	if err := d.RemoveDocument("reviews.xml"); err != nil {
-		t.Fatal(err)
-	}
-	st := d.Stats()
-	if st.Documents != 1 {
-		t.Fatalf("documents after remove = %d", st.Documents)
-	}
-	// Terms only present in reviews.xml are gone from the rebuilt index.
-	if d.Index().TermFreq("anonymous") != 0 {
-		t.Errorf("removed document's terms still indexed")
-	}
-	if d.Index().TermFreq("search") == 0 {
-		t.Errorf("remaining document's terms lost")
-	}
-	// Queries over the remaining document still work.
-	results, err := d.Query(`
-		For $a in document("articles.xml")//article/descendant-or-self::*
-		Score $a using ScoreFoo($a, {"search engine"}, {})
-		Sortby(score)
-		Threshold $a/@score stop after 1`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 1 {
-		t.Errorf("query after removal broken")
-	}
-	// Removing an unknown document errors; removing the last works.
-	if err := d.RemoveDocument("nope.xml"); err == nil {
-		t.Errorf("unknown removal accepted")
-	}
-	if err := d.RemoveDocument("articles.xml"); err != nil {
-		t.Fatal(err)
-	}
-	if d.Stats().Documents != 0 {
-		t.Errorf("documents after removing all = %d", d.Stats().Documents)
-	}
-	// And the name can be reloaded afterwards.
-	if err := d.LoadString("articles.xml", "<a>fresh</a>"); err != nil {
-		t.Errorf("reload after removal: %v", err)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // FuzzLoad drives the snapshot loader over corrupted byte streams. Load
 // must either return a database or an error — never panic, hang, or
 // allocate unboundedly from a lying length prefix. Seeds cover the valid
-// snapshot (with and without its integrity trailer), its prefixes, and the
+// snapshot (with and without its integrity trailer, with and without an index section), its prefixes, and the
 // bare magic, so mutation starts from structurally interesting inputs.
 func FuzzLoad(f *testing.F) {
 	d := New(Options{Stemming: true})
@@ -26,16 +26,20 @@ func FuzzLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
-	var bufV1 bytes.Buffer
-	if err := d.SaveV1(&bufV1); err != nil {
+	unindexed := New(Options{})
+	if err := unindexed.LoadString("a.xml", "<a>hello world</a>"); err != nil {
+		f.Fatal(err)
+	}
+	var bufNoIndex bytes.Buffer
+	if err := unindexed.Save(&bufNoIndex); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(valid)
-	f.Add(valid[:len(valid)-trailerLen]) // legacy, no trailer
+	f.Add(valid[:len(valid)-trailerLen]) // no trailer
 	f.Add(valid[:len(valid)/2])
-	f.Add(bufV1.Bytes()) // v1 raw-posting format
+	f.Add(bufNoIndex.Bytes()) // no index section
 	f.Add([]byte(fileMagic))
-	f.Add([]byte(fileMagicV2))
+	f.Add(valid[:len(fileMagic)+1]) // magic and options byte
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -2,11 +2,20 @@ package db
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/synth"
 	"repro/internal/xmltree"
+	"repro/internal/xq"
 )
+
+// query evaluates src over one view of the segment, the way the facade's
+// routed query path does (without its cache, metrics and id rewrite).
+func query(d *DB, src string) ([]xq.Result, error) {
+	return d.QueryLimited(context.Background(), src, exec.Limits{})
+}
 
 // TestSynthCorpusEndToEnd loads a mid-sized synthetic corpus and validates
 // the full query pipeline against naive recomputation: scores from the
@@ -27,7 +36,7 @@ func TestSynthCorpusEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	results, err := d.Query(`
+	results, err := query(d, `
 		For $a in document("corpus.xml")//article/descendant-or-self::*
 		Score $a using ScoreFoo($a, {"needle haystack"}, {"straw"})
 		Sortby(score)
@@ -55,7 +64,7 @@ func TestSynthCorpusEndToEnd(t *testing.T) {
 	}
 
 	// With Pick, no returned component may contain another.
-	picked, err := d.Query(`
+	picked, err := query(d, `
 		For $a in document("corpus.xml")//article/descendant-or-self::*
 		Score $a using ScoreFoo($a, {"needle haystack"}, {"straw"})
 		Pick $a using PickFoo($a, 0.8)
@@ -118,7 +127,7 @@ func TestSynthCorpusPersistRoundTrip(t *testing.T) {
 		Score $a using ScoreFoo($a, {"needle"}, {})
 		Sortby(score)
 		Threshold $a/@score > 0 stop after 20`
-	before, err := d.Query(q)
+	before, err := query(d, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +140,7 @@ func TestSynthCorpusPersistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := d2.Query(q)
+	after, err := query(d2, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,19 +44,14 @@ func TestSnapshotRoundTripWithTrailer(t *testing.T) {
 	}
 }
 
-// TestSnapshotLegacyWithoutTrailer: a file written before the trailer
-// existed (simulated by stripping it) still loads. This is also why a
-// truncation that lands exactly on the payload boundary is accepted: it is
-// byte-for-byte indistinguishable from a legacy file.
+// TestSnapshotLegacyWithoutTrailer: the trailer is mandatory. A file
+// without one (simulated by stripping it) is rejected as corrupt — so a
+// truncation that lands exactly on the payload boundary is caught too.
 func TestSnapshotLegacyWithoutTrailer(t *testing.T) {
 	data := savedFixture(t)
 	legacy := data[:len(data)-trailerLen]
-	d, err := Load(bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatalf("legacy file rejected: %v", err)
-	}
-	if st := d.Stats(); st.Documents != 2 {
-		t.Errorf("legacy reload stats = %+v", st)
+	if _, err := Load(bytes.NewReader(legacy)); !errors.Is(err, ErrCorruptSnapshot) {
+		t.Fatalf("trailerless file: err = %v, want ErrCorruptSnapshot", err)
 	}
 }
 
@@ -66,7 +61,7 @@ func TestSnapshotTruncation(t *testing.T) {
 	// Cut points spread across the payload plus every partial-trailer
 	// length; all must be rejected with an error (payload cuts fail the
 	// decode, partial trailers fail the integrity check).
-	cuts := []int{1, 3, payload / 4, payload / 2, payload - 1}
+	cuts := []int{1, 3, payload / 4, payload / 2, payload - 1, payload}
 	for i := 1; i < trailerLen; i++ {
 		cuts = append(cuts, payload+i)
 	}
@@ -76,7 +71,7 @@ func TestSnapshotTruncation(t *testing.T) {
 			t.Errorf("truncation at %d of %d accepted", cut, len(data))
 			continue
 		}
-		if cut > payload && !errors.Is(err, ErrCorruptSnapshot) {
+		if cut >= payload && !errors.Is(err, ErrCorruptSnapshot) {
 			t.Errorf("partial trailer at %d: err = %v, want ErrCorruptSnapshot", cut, err)
 		}
 	}

@@ -1,28 +1,15 @@
-package db
+package db_test
 
 import (
 	"strings"
 	"testing"
 
-	"repro/internal/fixture"
-	"repro/internal/metrics"
+	"repro/internal/db"
+	"repro/internal/shard"
 )
 
-func newMeteredDB(t *testing.T) (*DB, *metrics.Registry) {
-	t.Helper()
-	reg := metrics.NewRegistry()
-	d := New(Options{Stemming: true, Metrics: reg})
-	if err := d.LoadString("articles.xml", fixture.ArticlesXML); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.LoadString("reviews.xml", fixture.ReviewsXML); err != nil {
-		t.Fatal(err)
-	}
-	return d, reg
-}
-
 func TestQueryRecordsMetrics(t *testing.T) {
-	d, reg := newMeteredDB(t)
+	d, reg := newMeteredFixtureDB(t)
 	_, err := d.Query(`
 		For $a in document("articles.xml")//article/descendant-or-self::*
 		Score $a using ScoreFoo($a, {"search engine"}, {"internet"})
@@ -54,17 +41,22 @@ func TestQueryRecordsMetrics(t *testing.T) {
 }
 
 func TestTermAndPhraseSearchRecordMetrics(t *testing.T) {
-	d, reg := newMeteredDB(t)
-	for _, parallel := range []int{0, 2} {
-		if _, err := d.TermSearch([]string{"search", "engine"}, TermSearchOptions{TopK: 5, Parallel: parallel}); err != nil {
+	d, reg := newMeteredFixtureDB(t)
+	// Reshard keeps the registry, so both fan-out widths record into it.
+	par, err := d.Reshard(2, shard.RoundRobin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []*shard.DB{d, par} {
+		if _, err := f.TermSearch([]string{"search", "engine"}, db.TermSearchOptions{TopK: 5}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := reg.Counter(`tix_queries_total{op="terms"}`).Value(); got != 2 {
 		t.Errorf("terms total = %d, want 2", got)
 	}
-	// Both the sequential and the parallel path must surface access stats
-	// through the shared AccessReporter interface.
+	// Both the one-segment and the fanned-out path must surface access
+	// stats.
 	if got := reg.Counter(`tix_access_node_reads_total{op="terms"}`).Value(); got == 0 {
 		t.Error("term search recorded no node reads")
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/storage"
 	"repro/internal/xmltree"
 )
 
@@ -52,13 +51,22 @@ func (d *DB) observeIngest(op string, start time.Time, err error) {
 // index is first built). Equal generations imply an identical visible
 // corpus, so clients can use it to detect staleness cheaply.
 func (d *DB) Generation() uint64 {
+	g, _ := d.CacheToken()
+	return g
+}
+
+// CacheToken returns the generation token result-cache keys are minted
+// under, with ok=false while the segment cannot produce a stable one: no
+// live index exists yet (bulk loading), and store appends do not advance
+// any generation counter.
+func (d *DB) CacheToken() (uint64, bool) {
 	d.mu.Lock()
 	l := d.live
 	d.mu.Unlock()
 	if l == nil {
-		return 0
+		return 0, false
 	}
-	return l.Generation()
+	return l.Generation(), true
 }
 
 // Add parses src and ingests it under name into the live index. The
@@ -212,12 +220,4 @@ func (d *DB) CompactionBacklog() int {
 		return 0
 	}
 	return l.Backlog()
-}
-
-// IsDeleted reports whether id is tombstoned in the live index.
-func (d *DB) IsDeleted(id storage.DocID) bool {
-	d.mu.Lock()
-	l := d.live
-	d.mu.Unlock()
-	return l != nil && l.IsDead(id)
 }

@@ -9,8 +9,26 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/metrics"
+	"repro/internal/storage"
 )
+
+// viewTermSearch ranks the elements containing any of terms with a
+// TermJoin run directly over one view of the segment — the read path
+// every facade worker takes — keeping the k best (0 = all).
+func viewTermSearch(d *DB, terms []string, k int) ([]exec.ScoredNode, error) {
+	v := d.View()
+	tj := &exec.TermJoin{Index: v.Index, Acc: v.Accessor(nil), Query: exec.TermQuery{Terms: terms, Scorer: exec.DefaultScorer{}}}
+	if k > 0 {
+		tk := exec.NewTopK(k)
+		err := tj.Run(tk.Emit())
+		return tk.Results(), err
+	}
+	out, err := exec.Collect(tj.Run)
+	exec.SortRanked(out)
+	return out, err
+}
 
 func TestMutateSentinelsAndMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
@@ -44,16 +62,20 @@ func TestMutateSentinelsAndMetrics(t *testing.T) {
 	if newID == oldID {
 		t.Fatalf("Update reused document id %d", oldID)
 	}
-	if !d.IsDeleted(oldID) {
+	visible := map[storage.DocID]bool{}
+	for _, doc := range d.View().Docs() {
+		visible[doc.ID] = true
+	}
+	if visible[oldID] {
 		t.Fatalf("old id %d not tombstoned after Update", oldID)
 	}
-	if d.IsDeleted(newID) {
-		t.Fatalf("fresh id %d reported deleted", newID)
+	if !visible[newID] {
+		t.Fatalf("fresh id %d not visible after Update", newID)
 	}
-	if res, err := d.TermSearch([]string{"alpha"}, TermSearchOptions{}); err != nil || len(res) != 0 {
+	if res, err := viewTermSearch(d, []string{"alpha"}, 0); err != nil || len(res) != 0 {
 		t.Fatalf("old content after Update: %v, %v", res, err)
 	}
-	if res, err := d.TermSearch([]string{"gamma"}, TermSearchOptions{}); err != nil || len(res) == 0 {
+	if res, err := viewTermSearch(d, []string{"gamma"}, 0); err != nil || len(res) == 0 {
 		t.Fatalf("new content missing after Update: %v, %v", res, err)
 	}
 
@@ -74,7 +96,7 @@ func TestMutateSentinelsAndMetrics(t *testing.T) {
 	// CompactNow folds the (now empty) corpus back to a flat index.
 	d.CompactNow()
 	d.WaitCompaction()
-	if res, err := d.TermSearch([]string{"gamma"}, TermSearchOptions{}); err != nil || len(res) != 0 {
+	if res, err := viewTermSearch(d, []string{"gamma"}, 0); err != nil || len(res) != 0 {
 		t.Fatalf("deleted content after compaction: %v, %v", res, err)
 	}
 
@@ -146,7 +168,7 @@ func TestSaveLoadAfterMutations(t *testing.T) {
 		}
 	}
 	for term, want := range map[string]int{"apple": 0, "cherry": 0, "banana": 1, "cranberry": 1} {
-		res, err := d2.TermSearch([]string{term}, TermSearchOptions{})
+		res, err := viewTermSearch(d2, []string{term}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +233,7 @@ func TestIngestWhileQueryingMatchesBuild(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := grown.TermSearch(probe, TermSearchOptions{}); err != nil {
+			if _, err := viewTermSearch(grown, probe, 0); err != nil {
 				select {
 				case errs <- err:
 				default:
@@ -256,11 +278,11 @@ func TestIngestWhileQueryingMatchesBuild(t *testing.T) {
 		}
 	}
 	for _, terms := range [][]string{probe, {"common"}, {"q0", "w0"}} {
-		got, err := grown.TermSearch(terms, TermSearchOptions{TopK: 25})
+		got, err := viewTermSearch(grown, terms, 25)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := scratch.TermSearch(terms, TermSearchOptions{TopK: 25})
+		want, err := viewTermSearch(scratch, terms, 25)
 		if err != nil {
 			t.Fatal(err)
 		}

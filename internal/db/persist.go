@@ -9,7 +9,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
 
 	"repro/internal/index"
 	"repro/internal/postings"
@@ -17,65 +16,200 @@ import (
 	"repro/internal/xmltree"
 )
 
-// Database file format:
+// Segment file format (TIXDB2):
 //
-//	magic   "TIXDB1\n" (v1) or "TIXDB2\n" (v2)
+//	magic   "TIXDB2\n"
 //	options stemming byte (0/1), uvarint stopword count, stopwords
 //	docs    uvarint count; per doc: name, serialized XML
-//	index   presence byte; if 1 the version-specific index section
+//	index   presence byte; if 1 the index section
 //	trailer "TIXSUM1\n" + 4-byte little-endian IEEE CRC32 of every byte
 //	        before the trailer
 //
-// v1 index section: uvarint term count; per term: the term, uvarint
-// posting count, postings as uvarint (doc, node, pos, offset) with pos
-// delta-encoded within a (term, doc) run.
-//
-// v2 index section stores each term's encoded blocks verbatim, so loading
+// The index section stores each term's encoded blocks verbatim, so loading
 // adopts the bytes without re-encoding: uvarint term count; per term: the
 // term, uvarint posting count, uvarint block count, then per block the
 // skip entry as uvarints (posting count in block, payload byte length,
 // first doc, last doc − first doc, last pos, max per-doc frequency),
 // followed by the concatenated block payloads. Every block is fully
-// validated by postings.NewBlockList at load, so a truncated or tampered
-// v2 payload is rejected even when the trailer is missing.
+// validated by postings.NewBlockList at load.
 //
 // Strings are uvarint length + bytes. The XML serialization round-trips
 // through the same parser used at load time, so the region encoding and
-// node ordinals of a reloaded database are identical to the original's.
+// node ordinals of a reloaded segment are identical to the original's.
 //
-// The integrity trailer is backward and forward compatible: files written
-// before it existed load cleanly (a file ending exactly at the payload is
-// accepted as legacy), and old loaders that stop at the payload simply
-// never read the trailing 12 bytes. A present-but-partial trailer, a
-// checksum mismatch, or bytes after the trailer are rejected with an error
-// wrapping ErrCorruptSnapshot. Load dispatches on the magic, so v1
-// snapshots keep loading (their postings are block-encoded on restore);
-// SaveV1 keeps writing them for older readers.
-const fileMagic = "TIXDB1\n"
-
-// fileMagicV2 marks snapshots whose index section stores encoded
-// posting blocks verbatim.
-const fileMagicV2 = "TIXDB2\n"
+// The trailer is mandatory: a missing or partial trailer, a checksum
+// mismatch, or bytes after the trailer are rejected with an error wrapping
+// ErrCorruptSnapshot. The sharded container (internal/shard) embeds one
+// segment file per shard and frames itself with the same Writer/Reader.
+const fileMagic = "TIXDB2\n"
 
 // sumMagic introduces the integrity trailer.
 const sumMagic = "TIXSUM1\n"
 
-// ErrCorruptSnapshot marks database-file integrity failures: a truncated
-// trailer, a checksum mismatch, trailing garbage, or an invalid encoded
-// posting block. Test with errors.Is.
-var ErrCorruptSnapshot = errors.New("db: corrupt database file")
+// ErrCorruptSnapshot marks snapshot integrity failures: a truncated or
+// missing trailer, a checksum mismatch, trailing garbage, an implausible
+// count, or an invalid encoded posting block. Test with errors.Is.
+var ErrCorruptSnapshot = errors.New("snapshot: corrupt database file")
 
-// Save writes the database — documents, options and the inverted index —
-// to w in the v2 format (encoded posting blocks verbatim), followed by
-// the CRC32 integrity trailer.
-func (d *DB) Save(w io.Writer) error {
-	return d.save(w, fileMagicV2, writeIndexV2)
+// Writer frames one snapshot: every byte written through it is hashed,
+// and Close appends the CRC32 trailer. Write errors latch in the buffer
+// and surface from Close.
+type Writer struct {
+	w  io.Writer
+	h  hash.Hash32
+	bw *bufio.Writer
 }
 
-// SaveV1 writes the database in the v1 format (raw uvarint postings), for
-// readers that predate the block-compressed index section.
-func (d *DB) SaveV1(w io.Writer) error {
-	return d.save(w, fileMagic, writeIndexV1)
+// NewWriter starts a snapshot frame on w.
+func NewWriter(w io.Writer) *Writer {
+	h := crc32.NewIEEE()
+	return &Writer{w: w, h: h, bw: bufio.NewWriter(io.MultiWriter(w, h))}
+}
+
+// Write writes p verbatim.
+func (w *Writer) Write(p []byte) (int, error) { return w.bw.Write(p) }
+
+// Byte writes one byte.
+func (w *Writer) Byte(b byte) { _ = w.bw.WriteByte(b) }
+
+// Uvarint writes v as a uvarint.
+func (w *Writer) Uvarint(v uint64) {
+	var buf [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(buf[:], v)
+	_, _ = w.bw.Write(buf[:n])
+}
+
+// String writes s as a uvarint length and its bytes.
+func (w *Writer) String(s string) {
+	w.Uvarint(uint64(len(s)))
+	_, _ = w.bw.WriteString(s)
+}
+
+// Close flushes the frame and appends the trailer, which stays outside
+// its own sum.
+func (w *Writer) Close() error {
+	if err := w.bw.Flush(); err != nil {
+		return err
+	}
+	var tr [len(sumMagic) + 4]byte
+	copy(tr[:], sumMagic)
+	binary.LittleEndian.PutUint32(tr[len(sumMagic):], w.h.Sum32())
+	_, err := w.w.Write(tr[:])
+	return err
+}
+
+// Reader reads one snapshot frame, hashing exactly the bytes its consumer
+// reads. It wraps the buffered reader (not the other way round), so
+// bufio's readahead cannot pull trailer bytes into the payload hash.
+type Reader struct {
+	raw *bufio.Reader
+	h   hash.Hash32
+}
+
+// NewReader starts reading a snapshot frame from r.
+func NewReader(r io.Reader) *Reader {
+	return &Reader{raw: bufio.NewReader(r), h: crc32.NewIEEE()}
+}
+
+// Read implements io.Reader over the hashed payload.
+func (r *Reader) Read(p []byte) (int, error) {
+	n, err := r.raw.Read(p)
+	r.h.Write(p[:n])
+	return n, err
+}
+
+// ReadByte implements io.ByteReader over the hashed payload.
+func (r *Reader) ReadByte() (byte, error) {
+	b, err := r.raw.ReadByte()
+	if err == nil {
+		r.h.Write([]byte{b})
+	}
+	return b, err
+}
+
+// Magic reads len(want) bytes and checks them against want.
+func (r *Reader) Magic(want string) error {
+	magic := make([]byte, len(want))
+	if _, err := io.ReadFull(r, magic); err != nil {
+		return fmt.Errorf("snapshot: load: %w", err)
+	}
+	if string(magic) != want {
+		return fmt.Errorf("snapshot: load: bad magic %q", magic)
+	}
+	return nil
+}
+
+// Byte reads one byte.
+func (r *Reader) Byte() (byte, error) {
+	b, err := r.ReadByte()
+	if err != nil {
+		return 0, fmt.Errorf("snapshot: load: %w", err)
+	}
+	return b, nil
+}
+
+// Uvarint reads a uvarint.
+func (r *Reader) Uvarint() (uint64, error) {
+	v, err := binary.ReadUvarint(r)
+	if err != nil {
+		return 0, fmt.Errorf("snapshot: load: %w", err)
+	}
+	return v, nil
+}
+
+// Bytes reads exactly n bytes in bounded chunks: a lying length on a
+// corrupted file must not force a giant up-front allocation before the
+// short read surfaces.
+func (r *Reader) Bytes(n uint64) ([]byte, error) {
+	const chunk = 1 << 16
+	buf := make([]byte, 0, min(n, chunk))
+	for remaining := n; remaining > 0; {
+		k := min(remaining, chunk)
+		start := len(buf)
+		buf = append(buf, make([]byte, k)...)
+		if _, err := io.ReadFull(r, buf[start:]); err != nil {
+			return nil, fmt.Errorf("snapshot: load: %w", err)
+		}
+		remaining -= k
+	}
+	return buf, nil
+}
+
+// String reads a uvarint-length-prefixed string.
+func (r *Reader) String() (string, error) {
+	n, err := r.Uvarint()
+	if err != nil {
+		return "", err
+	}
+	const maxString = 1 << 30
+	if n > maxString {
+		return "", fmt.Errorf("snapshot: load: implausible string length %d: %w", n, ErrCorruptSnapshot)
+	}
+	buf, err := r.Bytes(n)
+	if err != nil {
+		return "", err
+	}
+	return string(buf), nil
+}
+
+// Close checks the integrity trailer once the payload has been fully
+// consumed (and hashed), and that nothing follows it.
+func (r *Reader) Close() error {
+	tr := make([]byte, len(sumMagic)+4)
+	if n, err := io.ReadFull(r.raw, tr); err != nil {
+		return fmt.Errorf("snapshot: load: truncated or missing integrity trailer (%d of %d bytes): %w", n, len(tr), ErrCorruptSnapshot)
+	}
+	if string(tr[:len(sumMagic)]) != sumMagic {
+		return fmt.Errorf("snapshot: load: unexpected data after payload (missing %q trailer): %w", sumMagic, ErrCorruptSnapshot)
+	}
+	want := binary.LittleEndian.Uint32(tr[len(sumMagic):])
+	if got := r.h.Sum32(); got != want {
+		return fmt.Errorf("snapshot: load: checksum mismatch (file %08x, payload %08x): %w", want, got, ErrCorruptSnapshot)
+	}
+	if _, err := r.raw.ReadByte(); !errors.Is(err, io.EOF) {
+		return fmt.Errorf("snapshot: load: data after integrity trailer: %w", ErrCorruptSnapshot)
+	}
+	return nil
 }
 
 // persistViewLocked resolves the mutable live layer into a persistable
@@ -114,98 +248,50 @@ func (d *DB) persistViewLocked() ([]*storage.Document, *index.Index, error) {
 	return fresh.Docs(), idx, nil
 }
 
-func (d *DB) save(w io.Writer, magic string, writeIndex func(*bufio.Writer, *index.Index) error) error {
+// Save writes the segment — documents, options and the inverted index
+// with its encoded posting blocks verbatim — to w, followed by the CRC32
+// integrity trailer.
+func (d *DB) Save(w io.Writer) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	docs, idx, err := d.persistViewLocked()
 	if err != nil {
 		return err
 	}
-	h := crc32.NewIEEE()
-	// Everything flushed through bw is hashed; the trailer itself is
-	// written to w directly afterwards, so it stays outside its own sum.
-	bw := bufio.NewWriter(io.MultiWriter(w, h))
-	finish := func() error {
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		var tr [len(sumMagic) + 4]byte
-		copy(tr[:], sumMagic)
-		binary.LittleEndian.PutUint32(tr[len(sumMagic):], h.Sum32())
-		_, err := w.Write(tr[:])
-		return err
-	}
-	if _, err := bw.WriteString(magic); err != nil {
-		return err
-	}
-	// Options.
+	fw := NewWriter(w)
+	_, _ = fw.Write([]byte(fileMagic))
 	stem := byte(0)
 	if d.opts.Stemming {
 		stem = 1
 	}
-	if err := bw.WriteByte(stem); err != nil {
-		return err
-	}
-	writeUvarint(bw, uint64(len(d.opts.Stopwords)))
+	fw.Byte(stem)
+	fw.Uvarint(uint64(len(d.opts.Stopwords)))
 	for _, sw := range d.opts.Stopwords {
-		writeString(bw, sw)
+		fw.String(sw)
 	}
-	// Documents.
-	writeUvarint(bw, uint64(len(docs)))
+	fw.Uvarint(uint64(len(docs)))
 	for _, doc := range docs {
-		writeString(bw, doc.Name)
-		writeString(bw, xmltree.XMLString(doc.Root))
+		fw.String(doc.Name)
+		fw.String(xmltree.XMLString(doc.Root))
 	}
-	// Index.
 	if idx == nil {
-		if err := bw.WriteByte(0); err != nil {
-			return err
-		}
-		return finish()
+		fw.Byte(0)
+		return fw.Close()
 	}
-	if err := bw.WriteByte(1); err != nil {
+	fw.Byte(1)
+	if err := writeIndex(fw, idx); err != nil {
 		return err
 	}
-	if err := writeIndex(bw, idx); err != nil {
-		return err
-	}
-	return finish()
+	return fw.Close()
 }
 
-// writeIndexV1 emits the raw-posting index section (one uvarint tuple per
-// posting, materialized from the block storage).
-func writeIndexV1(bw *bufio.Writer, idx *index.Index) error {
-	terms := idx.TermsByFreq()
-	writeUvarint(bw, uint64(len(terms)))
-	for _, term := range terms {
-		writeString(bw, term)
-		ps := idx.Postings(term)
-		writeUvarint(bw, uint64(len(ps)))
-		lastDoc := storage.DocID(-1)
-		lastPos := uint32(0)
-		for _, p := range ps {
-			writeUvarint(bw, uint64(p.Doc))
-			writeUvarint(bw, uint64(p.Node))
-			if p.Doc != lastDoc {
-				writeUvarint(bw, uint64(p.Pos))
-				lastDoc, lastPos = p.Doc, p.Pos
-			} else {
-				writeUvarint(bw, uint64(p.Pos-lastPos))
-				lastPos = p.Pos
-			}
-			writeUvarint(bw, uint64(p.Offset))
-		}
-	}
-	return nil
-}
-
-// writeIndexV2 emits the block-compressed index section: skip tables as
+// writeIndex emits the block-compressed index section: skip tables as
 // uvarints, block payloads verbatim — no re-encode at load.
-func writeIndexV2(bw *bufio.Writer, idx *index.Index) error {
+func writeIndex(fw *Writer, idx *index.Index) error {
 	terms := idx.TermsByFreq()
-	writeUvarint(bw, uint64(len(terms)))
+	fw.Uvarint(uint64(len(terms)))
 	for _, term := range terms {
-		writeString(bw, term)
+		fw.String(term)
 		bl := idx.BlockList(term)
 		if bl == nil {
 			// persistViewLocked always hands over a flat index; a merged
@@ -214,125 +300,44 @@ func writeIndexV2(bw *bufio.Writer, idx *index.Index) error {
 		}
 		skips := bl.Skips()
 		payload := bl.Payload()
-		writeUvarint(bw, uint64(bl.Len()))
-		writeUvarint(bw, uint64(len(skips)))
+		fw.Uvarint(uint64(bl.Len()))
+		fw.Uvarint(uint64(len(skips)))
 		prevEnd := uint32(0)
 		for bi, sk := range skips {
 			blockEnd := len(payload)
 			if bi+1 < len(skips) {
 				blockEnd = int(skips[bi+1].Off)
 			}
-			writeUvarint(bw, uint64(sk.End-prevEnd))
-			writeUvarint(bw, uint64(blockEnd)-uint64(sk.Off))
-			writeUvarint(bw, uint64(sk.FirstDoc))
-			writeUvarint(bw, uint64(sk.LastDoc-sk.FirstDoc))
-			writeUvarint(bw, uint64(sk.LastPos))
-			writeUvarint(bw, uint64(sk.MaxFreq))
+			fw.Uvarint(uint64(sk.End - prevEnd))
+			fw.Uvarint(uint64(blockEnd) - uint64(sk.Off))
+			fw.Uvarint(uint64(sk.FirstDoc))
+			fw.Uvarint(uint64(sk.LastDoc - sk.FirstDoc))
+			fw.Uvarint(uint64(sk.LastPos))
+			fw.Uvarint(uint64(sk.MaxFreq))
 			prevEnd = sk.End
 		}
-		if _, err := bw.Write(payload); err != nil {
-			return err
-		}
+		_, _ = fw.Write(payload)
 	}
 	return nil
 }
 
-// SaveFile writes the database to path.
-func (d *DB) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("db: %w", err)
-	}
-	if err := d.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// byteReader is the reading interface the loader consumes through: bulk
-// reads for strings, single-byte reads for uvarints.
-type byteReader interface {
-	io.Reader
-	io.ByteReader
-}
-
-// crcReader hashes exactly the bytes its consumer reads. It must wrap the
-// buffered reader (not sit underneath it): bufio's readahead would
-// otherwise pull trailer bytes into the payload hash.
-type crcReader struct {
-	r byteReader
-	h hash.Hash32
-}
-
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.h.Write(p[:n])
-	return n, err
-}
-
-func (c *crcReader) ReadByte() (byte, error) {
-	b, err := c.r.ReadByte()
-	if err == nil {
-		c.h.Write([]byte{b})
-	}
-	return b, err
-}
-
-// verifyTrailer checks the integrity trailer after the payload has been
-// fully consumed (and hashed) through the crcReader. A clean EOF right at
-// the payload boundary is a legacy pre-trailer file and is accepted.
-func verifyTrailer(br *bufio.Reader, h hash.Hash32) error {
-	tr := make([]byte, len(sumMagic)+4)
-	n, err := io.ReadFull(br, tr)
-	switch {
-	case errors.Is(err, io.EOF):
-		return nil // legacy file without a trailer
-	case err != nil:
-		return fmt.Errorf("db: load: truncated integrity trailer (%d of %d bytes): %w", n, len(tr), ErrCorruptSnapshot)
-	}
-	if string(tr[:len(sumMagic)]) != sumMagic {
-		return fmt.Errorf("db: load: unexpected data after payload (missing %q trailer): %w", sumMagic, ErrCorruptSnapshot)
-	}
-	want := binary.LittleEndian.Uint32(tr[len(sumMagic):])
-	if got := h.Sum32(); got != want {
-		return fmt.Errorf("db: load: checksum mismatch (file %08x, payload %08x): %w", want, got, ErrCorruptSnapshot)
-	}
-	if _, err := br.ReadByte(); !errors.Is(err, io.EOF) {
-		return fmt.Errorf("db: load: data after integrity trailer: %w", ErrCorruptSnapshot)
-	}
-	return nil
-}
-
-// Load reads a database written by Save or SaveV1, dispatching on the
-// magic and verifying the integrity trailer when present.
+// Load reads a segment written by Save, verifying the integrity trailer.
 func Load(r io.Reader) (*DB, error) {
-	raw := bufio.NewReader(r)
-	br := &crcReader{r: raw, h: crc32.NewIEEE()}
-	magic := make([]byte, len(fileMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("db: load: %w", err)
+	br := NewReader(r)
+	if err := br.Magic(fileMagic); err != nil {
+		return nil, err
 	}
-	var loadIndex func(*DB, *crcReader) error
-	switch string(magic) {
-	case fileMagic:
-		loadIndex = loadIndexV1
-	case fileMagicV2:
-		loadIndex = loadIndexV2
-	default:
-		return nil, fmt.Errorf("db: load: bad magic %q", magic)
-	}
-	stem, err := br.ReadByte()
+	stem, err := br.Byte()
 	if err != nil {
-		return nil, fmt.Errorf("db: load: %w", err)
+		return nil, err
 	}
-	nStop, err := readUvarint(br)
+	nStop, err := br.Uvarint()
 	if err != nil {
 		return nil, err
 	}
 	opts := Options{Stemming: stem == 1}
 	for i := uint64(0); i < nStop; i++ {
-		sw, err := readString(br)
+		sw, err := br.String()
 		if err != nil {
 			return nil, err
 		}
@@ -340,16 +345,16 @@ func Load(r io.Reader) (*DB, error) {
 	}
 	d := New(opts)
 
-	nDocs, err := readUvarint(br)
+	nDocs, err := br.Uvarint()
 	if err != nil {
 		return nil, err
 	}
 	for i := uint64(0); i < nDocs; i++ {
-		name, err := readString(br)
+		name, err := br.String()
 		if err != nil {
 			return nil, err
 		}
-		xmlSrc, err := readString(br)
+		xmlSrc, err := br.String()
 		if err != nil {
 			return nil, err
 		}
@@ -358,113 +363,45 @@ func Load(r io.Reader) (*DB, error) {
 		}
 	}
 
-	hasIndex, err := br.ReadByte()
+	hasIndex, err := br.Byte()
 	if err != nil {
-		return nil, fmt.Errorf("db: load: %w", err)
+		return nil, err
 	}
 	if hasIndex != 0 {
 		if err := loadIndex(d, br); err != nil {
 			return nil, err
 		}
 	}
-	if err := verifyTrailer(raw, br.h); err != nil {
+	if err := br.Close(); err != nil {
 		return nil, err
 	}
 	return d, nil
 }
 
-// loadIndexV1 reads the raw-posting index section and block-encodes it
-// via index.Restore.
-func loadIndexV1(d *DB, br *crcReader) error {
-	nTerms, err := readUvarint(br)
-	if err != nil {
-		return err
-	}
-	raw := make(map[string][]index.Posting, nTerms)
-	for i := uint64(0); i < nTerms; i++ {
-		term, err := readString(br)
-		if err != nil {
-			return err
-		}
-		nPost, err := readUvarint(br)
-		if err != nil {
-			return err
-		}
-		const sanity = 1 << 31
-		if nPost > sanity {
-			return fmt.Errorf("db: load: implausible posting count %d for %q", nPost, term)
-		}
-		// Cap the preallocation: a lying count on a corrupted file would
-		// otherwise attempt a multi-GiB make before any read fails.
-		ps := make([]index.Posting, 0, min(nPost, 1<<16))
-		lastDoc := storage.DocID(-1)
-		lastPos := uint32(0)
-		for j := uint64(0); j < nPost; j++ {
-			docV, err := readUvarint(br)
-			if err != nil {
-				return err
-			}
-			nodeV, err := readUvarint(br)
-			if err != nil {
-				return err
-			}
-			posV, err := readUvarint(br)
-			if err != nil {
-				return err
-			}
-			offV, err := readUvarint(br)
-			if err != nil {
-				return err
-			}
-			doc := storage.DocID(docV)
-			var pos uint32
-			if doc != lastDoc {
-				pos = uint32(posV)
-			} else {
-				pos = lastPos + uint32(posV)
-			}
-			lastDoc, lastPos = doc, pos
-			ps = append(ps, index.Posting{
-				Doc:    doc,
-				Node:   int32(nodeV),
-				Pos:    pos,
-				Offset: uint32(offV),
-			})
-		}
-		raw[term] = ps
-	}
-	idx, err := index.Restore(d.store, d.tok, raw)
-	if err != nil {
-		return fmt.Errorf("db: load: %w", err)
-	}
-	d.adoptIndex(idx)
-	return nil
-}
-
-// loadIndexV2 reads the block-compressed index section: skip tables are
+// loadIndex reads the block-compressed index section: skip tables are
 // reconstructed from their uvarint deltas and the payload bytes adopted
 // verbatim; postings.NewBlockList fully validates every block, so a
 // malformed section is rejected here rather than during query decode.
-func loadIndexV2(d *DB, br *crcReader) error {
-	nTerms, err := readUvarint(br)
+func loadIndex(d *DB, br *Reader) error {
+	nTerms, err := br.Uvarint()
 	if err != nil {
 		return err
 	}
-	lists := make(map[string]*postings.BlockList, nTerms)
+	lists := make(map[string]*postings.BlockList, min(nTerms, 1<<16))
 	for i := uint64(0); i < nTerms; i++ {
-		term, err := readString(br)
+		term, err := br.String()
 		if err != nil {
 			return err
 		}
-		nPost, err := readUvarint(br)
+		nPost, err := br.Uvarint()
 		if err != nil {
 			return err
 		}
 		const sanity = 1 << 31
 		if nPost > sanity {
-			return fmt.Errorf("db: load: implausible posting count %d for %q", nPost, term)
+			return fmt.Errorf("db: load: implausible posting count %d for %q: %w", nPost, term, ErrCorruptSnapshot)
 		}
-		nBlocks, err := readUvarint(br)
+		nBlocks, err := br.Uvarint()
 		if err != nil {
 			return err
 		}
@@ -476,7 +413,7 @@ func loadIndexV2(d *DB, br *crcReader) error {
 		for b := uint64(0); b < nBlocks; b++ {
 			var v [6]uint64
 			for k := range v {
-				if v[k], err = readUvarint(br); err != nil {
+				if v[k], err = br.Uvarint(); err != nil {
 					return err
 				}
 			}
@@ -510,7 +447,7 @@ func loadIndexV2(d *DB, br *crcReader) error {
 		if end != nPost {
 			return fmt.Errorf("db: load: blocks of %q cover %d of %d postings: %w", term, end, nPost, ErrCorruptSnapshot)
 		}
-		payload, err := readBytes(br, off)
+		payload, err := br.Bytes(off)
 		if err != nil {
 			return err
 		}
@@ -520,69 +457,10 @@ func loadIndexV2(d *DB, br *crcReader) error {
 		}
 		lists[term] = bl
 	}
-	d.adoptIndex(index.RestoreBlocks(d.store, d.tok, lists))
+	// The adopted index restarts the generation counter; the segment has
+	// served no query yet, so nothing keyed on the old counter exists.
+	d.mu.Lock()
+	d.live = index.LiveFromIndex(index.RestoreBlocks(d.store, d.tok, lists), d.opts.Ingest)
+	d.mu.Unlock()
 	return nil
-}
-
-// LoadDBFile reads a database file written by SaveFile.
-func LoadDBFile(path string) (*DB, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("db: %w", err)
-	}
-	defer f.Close()
-	return Load(f)
-}
-
-func writeUvarint(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, _ = w.Write(buf[:n])
-}
-
-func writeString(w *bufio.Writer, s string) {
-	writeUvarint(w, uint64(len(s)))
-	_, _ = w.WriteString(s)
-}
-
-func readUvarint(r io.ByteReader) (uint64, error) {
-	v, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, fmt.Errorf("db: load: %w", err)
-	}
-	return v, nil
-}
-
-// readBytes reads exactly n bytes in bounded chunks: a lying length on a
-// corrupted file must not force a giant up-front allocation before the
-// short read surfaces.
-func readBytes(r byteReader, n uint64) ([]byte, error) {
-	const chunk = 1 << 16
-	buf := make([]byte, 0, min(n, chunk))
-	for remaining := n; remaining > 0; {
-		k := min(remaining, chunk)
-		start := len(buf)
-		buf = append(buf, make([]byte, k)...)
-		if _, err := io.ReadFull(r, buf[start:]); err != nil {
-			return nil, fmt.Errorf("db: load: %w", err)
-		}
-		remaining -= k
-	}
-	return buf, nil
-}
-
-func readString(r byteReader) (string, error) {
-	n, err := readUvarint(r)
-	if err != nil {
-		return "", err
-	}
-	const maxString = 1 << 30
-	if n > maxString {
-		return "", fmt.Errorf("db: load: implausible string length %d", n)
-	}
-	buf, err := readBytes(r, n)
-	if err != nil {
-		return "", err
-	}
-	return string(buf), nil
 }

@@ -2,7 +2,6 @@ package db
 
 import (
 	"bytes"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -38,11 +37,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		Pick $a using PickFoo($a)
 		Sortby(score)
 		Threshold $a/@score > 4 stop after 5`
-	r1, err := d.Query(q)
+	r1, err := query(d, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := d2.Query(q)
+	r2, err := query(d2, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,25 +107,6 @@ func TestSaveLoadPreservesOptions(t *testing.T) {
 	}
 	if ds2.Index().TermFreq("engine") != 1 {
 		t.Errorf("stemming option lost on reload")
-	}
-}
-
-func TestSaveFileLoadDBFile(t *testing.T) {
-	d := newFixtureDB(t)
-	d.Index()
-	path := filepath.Join(t.TempDir(), "db.tix")
-	if err := d.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	d2, err := LoadDBFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2.Stats() != d.Stats() {
-		t.Errorf("file round trip stats differ")
-	}
-	if _, err := LoadDBFile(filepath.Join(t.TempDir(), "missing.tix")); err == nil {
-		t.Errorf("missing file should error")
 	}
 }
 

@@ -3,46 +3,34 @@ package db
 import (
 	"bytes"
 	"errors"
-	"reflect"
 	"testing"
 
 	"repro/internal/postings"
 	"repro/internal/synth"
 )
 
-// The v2 snapshot persists the block-compressed postings verbatim; v1
-// stays readable (and writable via SaveV1) for old files. These tests pin
-// the two-way compatibility and the v2-specific corruption defenses.
+// The segment snapshot (TIXDB2) persists the block-compressed postings
+// verbatim. These tests pin its magic, its compression across a reload,
+// and the block-level corruption defenses behind the checksum.
 
 func TestSaveWritesV2Magic(t *testing.T) {
 	data := savedFixture(t)
-	if !bytes.HasPrefix(data, []byte(fileMagicV2)) {
-		t.Fatalf("Save wrote magic %q, want %q", data[:len(fileMagicV2)], fileMagicV2)
+	if !bytes.HasPrefix(data, []byte(fileMagic)) || fileMagic != "TIXDB2\n" {
+		t.Fatalf("Save wrote magic %q, want %q", data[:len(fileMagic)], "TIXDB2\n")
 	}
 }
 
-func TestSaveV1LoadCompat(t *testing.T) {
-	d := newFixtureDB(t)
-	d.Index()
+// reseal appends a valid integrity trailer to payload, as a writer that
+// produced damaged blocks would: the checksum then passes, and the
+// loader's structural checks and block validation are the only defense.
+func reseal(payload []byte) []byte {
 	var buf bytes.Buffer
-	if err := d.SaveV1(&buf); err != nil {
-		t.Fatal(err)
+	w := NewWriter(&buf)
+	_, _ = w.Write(payload)
+	if err := w.Close(); err != nil {
+		panic(err)
 	}
-	if !bytes.HasPrefix(buf.Bytes(), []byte(fileMagic)) {
-		t.Fatalf("SaveV1 wrote magic %q, want %q", buf.Bytes()[:len(fileMagic)], fileMagic)
-	}
-	d2, err := Load(&buf)
-	if err != nil {
-		t.Fatalf("Load of v1 snapshot: %v", err)
-	}
-	if got, want := d2.Stats(), d.Stats(); got != want {
-		t.Errorf("v1 reload stats = %+v, want %+v", got, want)
-	}
-	for _, term := range []string{"search", "engine", "internet", "doe"} {
-		if !reflect.DeepEqual(d2.Index().Postings(term), d.Index().Postings(term)) {
-			t.Errorf("postings for %q differ after v1 reload", term)
-		}
-	}
+	return buf.Bytes()
 }
 
 // synthDB builds a database over a mid-sized synthetic corpus — long
@@ -64,34 +52,6 @@ func synthDB(t *testing.T) *DB {
 	}
 	d.Index()
 	return d
-}
-
-func TestV1AndV2SnapshotsLoadIdentically(t *testing.T) {
-	d := synthDB(t)
-	var v1, v2 bytes.Buffer
-	if err := d.SaveV1(&v1); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Save(&v2); err != nil {
-		t.Fatal(err)
-	}
-	d1, err := Load(&v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := Load(&v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t1, t2 := d1.Index().TermsByFreq(), d2.Index().TermsByFreq()
-	if !reflect.DeepEqual(t1, t2) {
-		t.Fatal("vocabularies differ between v1 and v2 loads")
-	}
-	for _, term := range t1 {
-		if !reflect.DeepEqual(d1.Index().Postings(term), d2.Index().Postings(term)) {
-			t.Errorf("postings for %q differ between v1 and v2 loads", term)
-		}
-	}
 }
 
 func TestV2ReloadKeepsCompression(t *testing.T) {
@@ -116,25 +76,25 @@ func TestV2ReloadKeepsCompression(t *testing.T) {
 	}
 }
 
-// TestV2TrailerlessCorruption strips the integrity trailer (the legacy
-// acceptance) and then damages the postings section near the end of the
-// payload: without a checksum to catch it, the per-block validation in
-// NewBlockList is the defense, so every flip must either error (never
-// panic) or produce a database that passed validation cleanly.
+// TestV2TrailerlessCorruption: a snapshot without its trailer is rejected
+// as corrupt; and damage to the postings section near the end of the
+// payload, resealed with a matching checksum, must be caught by the
+// per-block validation in NewBlockList — every flip either errors (never
+// panics) or produces a database that passed validation cleanly.
 func TestV2TrailerlessCorruption(t *testing.T) {
 	data := savedFixture(t)
-	legacy := data[:len(data)-trailerLen]
-	if _, err := Load(bytes.NewReader(legacy)); err != nil {
-		t.Fatalf("trailerless v2 snapshot rejected: %v", err)
+	payload := data[:len(data)-trailerLen]
+	if _, err := Load(bytes.NewReader(payload)); !errors.Is(err, ErrCorruptSnapshot) {
+		t.Fatalf("trailerless snapshot: err = %v, want ErrCorruptSnapshot", err)
 	}
 	rejected := 0
 	// The index section sits at the tail of the payload; walk flips across
 	// it.
-	start := len(legacy) * 3 / 4
-	for at := start; at < len(legacy); at += 7 {
-		mut := bytes.Clone(legacy)
+	start := len(payload) * 3 / 4
+	for at := start; at < len(payload); at += 7 {
+		mut := bytes.Clone(payload)
 		mut[at] ^= 0xFF
-		db, err := Load(bytes.NewReader(mut))
+		db, err := Load(bytes.NewReader(reseal(mut)))
 		if err == nil {
 			if db == nil {
 				t.Fatalf("flip at %d: no database and no error", at)
@@ -148,34 +108,33 @@ func TestV2TrailerlessCorruption(t *testing.T) {
 	}
 }
 
-// TestV2TrailerlessTruncation: cutting a trailerless v2 file inside the
-// index section must fail block validation (there is no trailer left to
-// catch it).
+// TestV2TrailerlessTruncation: cutting a snapshot inside the index section
+// and resealing it must fail the index decode or block validation.
 func TestV2TrailerlessTruncation(t *testing.T) {
 	data := savedFixture(t)
-	legacy := data[:len(data)-trailerLen]
-	for _, cut := range []int{len(legacy) - 2, len(legacy) - 9, len(legacy) * 9 / 10} {
-		_, err := Load(bytes.NewReader(legacy[:cut]))
+	payload := data[:len(data)-trailerLen]
+	for _, cut := range []int{len(payload) - 2, len(payload) - 9, len(payload) * 9 / 10} {
+		_, err := Load(bytes.NewReader(reseal(payload[:cut])))
 		if err == nil {
-			t.Errorf("trailerless truncation at %d of %d accepted", cut, len(legacy))
+			t.Errorf("resealed truncation at %d of %d accepted", cut, len(payload))
 		}
 	}
 }
 
 // TestV2CorruptSkipMetadata mangles bytes across the index tail — term
-// headers, per-block metadata varints, block payloads — of a trailerless
+// headers, per-block metadata varints, block payloads — of a resealed
 // snapshot. Rejections must be typed: either the loader's structural
 // checks (ErrCorruptSnapshot) or the block validator (postings.ErrCorrupt,
 // wrapped in ErrCorruptSnapshot), and the block validator must fire for at
 // least one mutation.
 func TestV2CorruptSkipMetadata(t *testing.T) {
 	data := savedFixture(t)
-	legacy := data[:len(data)-trailerLen]
+	payload := data[:len(data)-trailerLen]
 	sawBlockErr := false
-	for at := len(legacy) / 2; at < len(legacy); at++ {
-		mut := bytes.Clone(legacy)
+	for at := len(payload) / 2; at < len(payload); at++ {
+		mut := bytes.Clone(payload)
 		mut[at] = 0xFF // force a multi-byte/overflowing varint mid-structure
-		_, err := Load(bytes.NewReader(mut))
+		_, err := Load(bytes.NewReader(reseal(mut)))
 		if err != nil && errors.Is(err, postings.ErrCorrupt) {
 			if !errors.Is(err, ErrCorruptSnapshot) {
 				t.Fatalf("flip at %d: block error %v not wrapped in ErrCorruptSnapshot", at, err)

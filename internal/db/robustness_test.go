@@ -1,4 +1,4 @@
-package db
+package db_test
 
 import (
 	"context"
@@ -6,30 +6,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/db"
 	"repro/internal/exec"
 	"repro/internal/fixture"
-	"repro/internal/metrics"
+	"repro/internal/shard"
 	"repro/internal/storage"
 )
-
-// newMeteredFixtureDB loads the paper's Figure 1 database with an isolated
-// metrics registry so tests can assert on exact counter values.
-func newMeteredFixtureDB(t *testing.T) (*DB, *metrics.Registry) {
-	t.Helper()
-	reg := metrics.NewRegistry()
-	d := New(Options{Stemming: true, Metrics: reg})
-	if err := d.LoadString("articles.xml", fixture.ArticlesXML); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.LoadString("reviews.xml", fixture.ReviewsXML); err != nil {
-		t.Fatal(err)
-	}
-	return d, reg
-}
-
-func counter(reg *metrics.Registry, name, op string) int64 {
-	return reg.Counter(name + `{op="` + op + `"}`).Value()
-}
 
 func TestQueryContextCanceled(t *testing.T) {
 	d, reg := newMeteredFixtureDB(t)
@@ -61,7 +43,7 @@ func TestTermSearchLimits(t *testing.T) {
 	d, reg := newMeteredFixtureDB(t)
 	// MaxAccesses: the fixture TermJoin walks well over 5 node records.
 	_, err := d.TermSearchContext(context.Background(), []string{"search", "engine"},
-		TermSearchOptions{Limits: exec.Limits{MaxAccesses: 5, CheckEvery: 1}})
+		db.TermSearchOptions{Limits: exec.Limits{MaxAccesses: 5, CheckEvery: 1}})
 	if !errors.Is(err, exec.ErrLimitExceeded) {
 		t.Fatalf("MaxAccesses err = %v, want ErrLimitExceeded", err)
 	}
@@ -71,7 +53,7 @@ func TestTermSearchLimits(t *testing.T) {
 	}
 	// MaxResults: the same search yields more than one scored element.
 	_, err = d.TermSearchContext(context.Background(), []string{"search", "engine"},
-		TermSearchOptions{Limits: exec.Limits{MaxResults: 1}})
+		db.TermSearchOptions{Limits: exec.Limits{MaxResults: 1}})
 	if !errors.As(err, &le) || le.Resource != "results" {
 		t.Fatalf("MaxResults err = %#v, want *LimitError{results}", err)
 	}
@@ -83,13 +65,13 @@ func TestTermSearchLimits(t *testing.T) {
 func TestDefaultLimitsApply(t *testing.T) {
 	d, _ := newMeteredFixtureDB(t)
 	d.SetLimits(exec.Limits{MaxAccesses: 5, CheckEvery: 1})
-	_, err := d.TermSearchContext(context.Background(), []string{"search", "engine"}, TermSearchOptions{})
+	_, err := d.TermSearchContext(context.Background(), []string{"search", "engine"}, db.TermSearchOptions{})
 	if !errors.Is(err, exec.ErrLimitExceeded) {
 		t.Fatalf("database default limit not applied: err = %v", err)
 	}
 	// A per-call budget overrides the default.
 	res, err := d.TermSearchContext(context.Background(), []string{"search", "engine"},
-		TermSearchOptions{Limits: exec.Limits{MaxAccesses: 1 << 40}})
+		db.TermSearchOptions{Limits: exec.Limits{MaxAccesses: 1 << 40}})
 	if err != nil {
 		t.Fatalf("per-call override: %v", err)
 	}
@@ -99,10 +81,13 @@ func TestDefaultLimitsApply(t *testing.T) {
 }
 
 func TestParallelTermSearchCanceled(t *testing.T) {
-	d, _ := newMeteredFixtureDB(t)
+	d, err := newFixtureDB(t).Reshard(4, shard.RoundRobin)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := d.TermSearchContext(ctx, []string{"search"}, TermSearchOptions{Parallel: 4})
+	_, err = d.TermSearchContext(ctx, []string{"search"}, db.TermSearchOptions{})
 	if !errors.Is(err, exec.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -113,8 +98,14 @@ func TestParallelTermSearchCanceled(t *testing.T) {
 // point returns a classified error instead of crashing the process.
 func TestFaultInjectionSurfacesAsErrors(t *testing.T) {
 	d, reg := newMeteredFixtureDB(t)
-	d.Stats() // build the index before arming faults
-	d.Store().SetFaults(&storage.FaultInjector{FailEvery: 1})
+	par, err := d.Reshard(3, shard.RoundRobin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Stats() // build the indexes before arming faults
+	par.Stats()
+	d.SetFaults(&storage.FaultInjector{FailEvery: 1})
+	par.SetFaults(&storage.FaultInjector{FailEvery: 1})
 	ctx := context.Background()
 
 	if _, err := d.QueryContext(ctx, `For $a := document("articles.xml")//section Sortby(score)`); !errors.Is(err, storage.ErrInjectedFault) {
@@ -123,10 +114,10 @@ func TestFaultInjectionSurfacesAsErrors(t *testing.T) {
 	if _, _, err := d.QueryRenderedContext(ctx, `For $a := document("articles.xml")//section Sortby(score)`); !errors.Is(err, storage.ErrInjectedFault) {
 		t.Errorf("QueryRenderedContext err = %v, want ErrInjectedFault", err)
 	}
-	if _, err := d.TermSearchContext(ctx, []string{"search", "engine"}, TermSearchOptions{}); !errors.Is(err, storage.ErrInjectedFault) {
+	if _, err := d.TermSearchContext(ctx, []string{"search", "engine"}, db.TermSearchOptions{}); !errors.Is(err, storage.ErrInjectedFault) {
 		t.Errorf("TermSearchContext err = %v, want ErrInjectedFault", err)
 	}
-	if _, err := d.TermSearchContext(ctx, []string{"search", "engine"}, TermSearchOptions{Parallel: 3}); !errors.Is(err, storage.ErrInjectedFault) {
+	if _, err := par.TermSearchContext(ctx, []string{"search", "engine"}, db.TermSearchOptions{}); !errors.Is(err, storage.ErrInjectedFault) {
 		t.Errorf("parallel TermSearchContext err = %v, want ErrInjectedFault", err)
 	}
 	// PhraseFinder intersects posting lists by word offset without touching
@@ -140,7 +131,7 @@ func TestFaultInjectionSurfacesAsErrors(t *testing.T) {
 	}
 	// The similarity join evaluates over materialized trees without an
 	// accounting accessor; it must simply not crash.
-	if _, err := d.SimilarityJoinContext(ctx, SimilarityJoinSpec{
+	if _, err := d.SimilarityJoinContext(ctx, db.SimilarityJoinSpec{
 		LeftDoc: "articles.xml", RightDoc: "reviews.xml",
 		LeftRoot: "article", RightRoot: "review",
 		LeftKey: "article-title", RightKey: "title",
@@ -157,8 +148,8 @@ func TestFaultInjectionSurfacesAsErrors(t *testing.T) {
 	}
 
 	// Disarming restores normal service on the same store.
-	d.Store().SetFaults(nil)
-	if _, err := d.TermSearchContext(ctx, []string{"search"}, TermSearchOptions{}); err != nil {
+	d.SetFaults(nil)
+	if _, err := d.TermSearchContext(ctx, []string{"search"}, db.TermSearchOptions{}); err != nil {
 		t.Errorf("after disarm: %v", err)
 	}
 }
@@ -170,8 +161,8 @@ func TestFaultSeedIsDeterministic(t *testing.T) {
 		d, _ := newMeteredFixtureDB(t)
 		d.Stats()
 		inj := &storage.FaultInjector{FailEvery: 10, Seed: seed}
-		d.Store().SetFaults(inj)
-		_, err := d.TermSearchContext(context.Background(), []string{"search", "engine"}, TermSearchOptions{})
+		d.SetFaults(inj)
+		_, err := d.TermSearchContext(context.Background(), []string{"search", "engine"}, db.TermSearchOptions{})
 		var fe *storage.FaultError
 		if !errors.As(err, &fe) {
 			t.Fatalf("seed %d: err = %v, want *FaultError", seed, err)
@@ -191,9 +182,9 @@ func TestFaultSeedIsDeterministic(t *testing.T) {
 func TestFaultLatencyInjection(t *testing.T) {
 	d, _ := newMeteredFixtureDB(t)
 	d.Stats()
-	d.Store().SetFaults(&storage.FaultInjector{Latency: 5 * time.Millisecond, LatencyEvery: 1})
+	d.SetFaults(&storage.FaultInjector{Latency: 5 * time.Millisecond, LatencyEvery: 1})
 	_, err := d.TermSearchContext(context.Background(), []string{"search", "engine"},
-		TermSearchOptions{Limits: exec.Limits{Timeout: time.Millisecond, CheckEvery: 1}})
+		db.TermSearchOptions{Limits: exec.Limits{Timeout: time.Millisecond, CheckEvery: 1}})
 	if !errors.Is(err, exec.ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
 	}

@@ -1,9 +1,11 @@
-package db
+package db_test
 
 import (
 	"testing"
 	"time"
 
+	"repro/internal/db"
+	"repro/internal/shard"
 	"repro/internal/synth"
 )
 
@@ -22,7 +24,7 @@ func TestScaleSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := New(Options{})
+	d := shard.New(shard.Options{})
 	if err := d.LoadTree("corpus.xml", corpus.Root); err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +63,7 @@ func TestScaleSmoke(t *testing.T) {
 		st.Elements, elapsed, results[0].Score)
 
 	// TopK term search at scale through the early-terminating path.
-	results2, err := d.TermSearch([]string{"needle", "haystack"}, TermSearchOptions{TopK: 5, Parallel: 4})
+	results2, err := d.TermSearch([]string{"needle", "haystack"}, db.TermSearchOptions{TopK: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

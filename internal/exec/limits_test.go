@@ -214,22 +214,39 @@ func TestTermJoinMaxAccesses(t *testing.T) {
 	}
 }
 
+// runTermJoinWorkers runs one TermJoin per worker goroutine, all sharing
+// the guard g — the shape of the shard fan-out — and returns the first
+// worker error.
+func runTermJoinWorkers(idx *index.Index, g *Guard, workers int, emit Emit) error {
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			tj := &TermJoin{
+				Index: idx,
+				Acc:   g.NewAccessor(idx.Store()),
+				Query: TermQuery{Terms: []string{plantedTerm}, Scorer: DefaultScorer{}},
+				Guard: g,
+			}
+			errs[w] = tj.Run(emit)
+		}(w)
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
 // TestParallelTermJoinCancel verifies that one shared guard stops every
-// worker: all partitions observe the same latched error.
+// parallel TermJoin worker: all of them observe the same latched error.
 func TestParallelTermJoinCancel(t *testing.T) {
 	idx := plantedIndex(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	g := NewGuard(ctx, Limits{CheckEvery: 64})
-	p := &ParallelTermJoin{
-		Index:   idx,
-		Query:   TermQuery{Terms: []string{plantedTerm}, Scorer: DefaultScorer{}},
-		Workers: 4,
-		Guard:   g,
-	}
 	var mu sync.Mutex
 	var emitted int
-	err := p.Run(func(ScoredNode) {
+	err := runTermJoinWorkers(idx, g, 4, func(ScoredNode) {
 		mu.Lock()
 		emitted++
 		if emitted == 3 {
@@ -243,18 +260,12 @@ func TestParallelTermJoinCancel(t *testing.T) {
 }
 
 // TestParallelTermJoinSharedResultBudget: the MaxResults budget is shared
-// across workers, not per worker.
+// across parallel workers, not per worker.
 func TestParallelTermJoinSharedResultBudget(t *testing.T) {
 	idx := plantedIndex(t)
 	const max = 10
 	g := NewGuard(context.Background(), Limits{MaxResults: max})
-	p := &ParallelTermJoin{
-		Index:   idx,
-		Query:   TermQuery{Terms: []string{plantedTerm}, Scorer: DefaultScorer{}},
-		Workers: 4,
-		Guard:   g,
-	}
-	err := p.Run(func(ScoredNode) {})
+	err := runTermJoinWorkers(idx, g, 4, func(ScoredNode) {})
 	if !errors.Is(err, ErrLimitExceeded) {
 		t.Fatalf("err = %v, want ErrLimitExceeded", err)
 	}

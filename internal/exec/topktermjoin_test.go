@@ -1,10 +1,36 @@
 package exec
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/index"
 	"repro/internal/scoring"
+	"repro/internal/storage"
+	"repro/internal/synth"
+	"repro/internal/tokenize"
 )
+
+// buildMultiDocIndex loads several generated documents, so document
+// boundaries and per-document runs are exercised.
+func buildMultiDocIndex(t testing.TB, docs int) *index.Index {
+	t.Helper()
+	s := storage.NewStore()
+	for i := 0; i < docs; i++ {
+		cfg := synth.DefaultConfig()
+		cfg.Articles = 6
+		cfg.Seed = int64(100 + i)
+		cfg.ControlTerms = map[string]int{"ctla": 30, "ctlb": 20}
+		c, err := synth.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.AddTree(fmt.Sprintf("doc%02d.xml", i), c.Root); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return index.Build(s, tokenize.New())
+}
 
 func TestTopKTermJoinMatchesFullRun(t *testing.T) {
 	idx := buildMultiDocIndex(t, 8)

@@ -255,25 +255,32 @@ func (a *Admission) Admit(ctx context.Context, client string) (release func(), e
 	default:
 	}
 
-	// No free slot: reserve the queue slot atomically BEFORE any check, so
-	// concurrent arrivals cannot all pass a check-then-act race and
-	// collectively overshoot MaxQueue. A shed rejection undoes the
-	// reservation and refunds the token the request never used.
+	// No free slot: reserve a queue slot with a compare-and-swap that only
+	// succeeds below MaxQueue, so concurrent arrivals cannot all pass a
+	// check-then-act race and collectively overshoot it — not even
+	// transiently. A shed rejection refunds the token the request never
+	// used.
 	shed := func(retryAfter time.Duration, reason string) (func(), error) {
-		a.queued.Add(-1)
 		a.refundToken(client)
 		reg.Counter("tix_admission_shed_total").Inc()
 		return nil, &AdmissionError{Sentinel: ErrOverloaded, RetryAfter: retryAfter, Reason: reason}
 	}
-	q := a.queued.Add(1)
-	predicted := a.predictWait(q)
-	if int64(a.cfg.MaxQueue) < q {
-		return shed(maxDuration(predicted, 50*time.Millisecond),
-			fmt.Sprintf("admission queue full (%d waiting)", a.cfg.MaxQueue))
+	q := a.queued.Load()
+	for ; ; q = a.queued.Load() {
+		if q >= int64(a.cfg.MaxQueue) {
+			return shed(maxDuration(a.predictWait(q+1), 50*time.Millisecond),
+				fmt.Sprintf("admission queue full (%d waiting)", a.cfg.MaxQueue))
+		}
+		if a.queued.CompareAndSwap(q, q+1) {
+			q++
+			break
+		}
 	}
+	predicted := a.predictWait(q)
 	// Deadline-aware shedding: a request whose predicted queue wait cannot
 	// fit inside its own deadline would only time out in line.
 	if dl, ok := ctx.Deadline(); ok && predicted > 0 && time.Now().Add(predicted).After(dl) {
+		a.queued.Add(-1)
 		return shed(predicted, fmt.Sprintf("predicted queue wait %s exceeds request deadline",
 			predicted.Round(time.Millisecond)))
 	}

@@ -18,6 +18,7 @@ import (
 	"repro/internal/db"
 	"repro/internal/fixture"
 	"repro/internal/metrics"
+	"repro/internal/shard"
 	"repro/internal/storage"
 )
 
@@ -26,7 +27,7 @@ import (
 // a test.
 type chaosFleet struct {
 	fleet    *Fleet
-	replicas []*db.DB
+	replicas []*shard.DB
 	reg      *metrics.Registry
 }
 
@@ -43,7 +44,7 @@ func newChaosFleetCached(t *testing.T, cfg Config, cacheBytes int64) *chaosFleet
 	cf := &chaosFleet{reg: reg}
 	var backends []Backend
 	for i := 0; i < 3; i++ {
-		d := db.New(db.Options{Metrics: metrics.NewRegistry(), CacheBytes: cacheBytes})
+		d := shard.New(shard.Options{Metrics: metrics.NewRegistry(), CacheBytes: cacheBytes})
 		if err := d.LoadString("articles.xml", fixture.ArticlesXML); err != nil {
 			t.Fatal(err)
 		}
@@ -55,6 +56,7 @@ func newChaosFleetCached(t *testing.T, cfg Config, cacheBytes int64) *chaosFleet
 		backends = append(backends, d)
 	}
 	cfg.Metrics = reg
+	cfg.PanicErrors = append(cfg.PanicErrors, shard.ErrPanic)
 	if cfg.Breaker == (BreakerConfig{}) {
 		cfg.Breaker = BreakerConfig{
 			Window:         8,
@@ -140,7 +142,7 @@ func TestChaosReplicaKilledMidTraffic(t *testing.T) {
 	lats = append(lats, cf.drive(t, 4, 10)...)
 
 	// Kill replica 0: every store access panics with an injected fault.
-	cf.replicas[0].Store().SetFaults(&storage.FaultInjector{FailEvery: 1})
+	cf.replicas[0].SetFaults(&storage.FaultInjector{FailEvery: 1})
 	lats = append(lats, cf.drive(t, 4, 20)...)
 
 	if got := cf.fleet.BreakerState(0); got != StateOpen {
@@ -160,7 +162,7 @@ func TestChaosReplicaKilledMidTraffic(t *testing.T) {
 	}
 
 	// Lift the fault; after the cool-down the breaker probes and closes.
-	cf.replicas[0].Store().SetFaults(nil)
+	cf.replicas[0].SetFaults(nil)
 	time.Sleep(40 * time.Millisecond) // past OpenFor
 	deadline := time.Now().Add(5 * time.Second)
 	for cf.fleet.BreakerState(0) != StateClosed && time.Now().Before(deadline) {
@@ -194,7 +196,7 @@ func TestChaosSlowReplicaIsHedgedAround(t *testing.T) {
 	// Every access on replica 1 eats 20ms; a term query makes several
 	// accesses, so un-hedged requests landing there would take hundreds of
 	// milliseconds.
-	cf.replicas[1].Store().SetFaults(&storage.FaultInjector{
+	cf.replicas[1].SetFaults(&storage.FaultInjector{
 		Latency: 20 * time.Millisecond, LatencyEvery: 1,
 	})
 	lats := cf.drive(t, 4, 15)
@@ -352,7 +354,7 @@ func TestChaosWarmCacheReplicaKilled(t *testing.T) {
 	// (caches mask storage death for cached traffic — by design), so cold
 	// nonce queries are mixed in to force storage accesses and trip the
 	// breaker; retries and routing must mask every fault from the client.
-	cf.replicas[0].Store().SetFaults(&storage.FaultInjector{FailEvery: 1})
+	cf.replicas[0].SetFaults(&storage.FaultInjector{FailEvery: 1})
 	lats = append(lats, cf.driveCold(t, 4, 10, "outage")...)
 	lats = append(lats, cf.driveMix(t, 4, 30)...)
 
@@ -382,7 +384,7 @@ func TestChaosAdmissionShedsUnderOverload(t *testing.T) {
 
 	// Slow every replica a little so inflight slots stay occupied.
 	for _, d := range cf.replicas {
-		d.Store().SetFaults(&storage.FaultInjector{
+		d.SetFaults(&storage.FaultInjector{
 			Latency: time.Millisecond, LatencyEvery: 4,
 		})
 	}

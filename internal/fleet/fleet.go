@@ -1,6 +1,6 @@
 // Package fleet is the replicated, self-healing serving tier: it fronts
-// N identical backend replicas (each a *db.DB or sharded *shard.DB
-// loaded with the same corpus in the same order) and makes the query
+// N identical backend replicas (each a *shard.DB loaded with the same
+// corpus in the same order) and makes the query
 // surface degrade gracefully instead of failing when a replica stalls or
 // dies.
 //
@@ -9,7 +9,7 @@
 //   - Health-checked routing. Every replica carries a circuit breaker fed
 //     by its request outcomes, classified through the exec error taxonomy:
 //     storage faults (storage.ErrInjectedFault), recovered panics
-//     (db.ErrPanic/shard.ErrPanic), and attempt-level deadline overruns
+//     (shard.ErrPanic, via Config.PanicErrors), and attempt-level deadline overruns
 //     count against the replica; client-caused errors (parse failures,
 //     resource-budget exhaustion, the caller's own cancellation) do not.
 //     A replica whose windowed failure rate crosses the threshold is
@@ -51,8 +51,8 @@ import (
 )
 
 // Backend is the replica surface the fleet routes over — structurally
-// identical to server.Backend, so *db.DB and *shard.DB satisfy both, and
-// *Fleet itself satisfies server.Backend.
+// identical to server.Backend, so *shard.DB satisfies both, and *Fleet
+// itself satisfies server.Backend.
 type Backend interface {
 	Stats() db.Stats
 	DocumentCount() int
@@ -103,9 +103,9 @@ type Config struct {
 	// Metrics receives the fleet's own instrumentation (default
 	// metrics.Default).
 	Metrics *metrics.Registry
-	// PanicErrors are additional sentinels (beyond db.ErrPanic and
+	// PanicErrors are additional sentinels (beyond
 	// storage.ErrInjectedFault) classified as hard replica faults —
-	// retried on a twin and counted against the breaker. A sharded
+	// retried on a twin and counted against the breaker. A *shard.DB
 	// backend adds shard.ErrPanic here; fleet itself cannot import the
 	// shard package (shard's tests exercise the server, which fronts a
 	// fleet, and Go rejects the resulting test-only cycle).
@@ -307,9 +307,9 @@ func (f *Fleet) hedgeDelay(rep *replica) time.Duration {
 
 // hardFault reports errors that indict the replica's storage or engine
 // regardless of timing: injected storage faults and recovered panics
-// (db.ErrPanic plus any configured PanicErrors sentinels).
+// (the configured PanicErrors sentinels).
 func (f *Fleet) hardFault(err error) bool {
-	if errors.Is(err, storage.ErrInjectedFault) || errors.Is(err, db.ErrPanic) {
+	if errors.Is(err, storage.ErrInjectedFault) {
 		return true
 	}
 	for _, sentinel := range f.cfg.PanicErrors {
@@ -618,7 +618,7 @@ func (f *Fleet) CompactionBacklog() int {
 // idAllocator is the optional replica surface the numbering repair
 // needs: AllocatedDocIDs exposes the document-id allocation cursor (ids
 // ever handed out, live or tombstoned) and BurnDocID consumes one id
-// without adding a document. *db.DB and *shard.DB both implement it.
+// without adding a document. *shard.DB implements it.
 type idAllocator interface {
 	AllocatedDocIDs() int
 	BurnDocID() error

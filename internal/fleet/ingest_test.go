@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/db"
 	"repro/internal/metrics"
+	"repro/internal/shard"
 	"repro/internal/storage"
 )
 
@@ -21,7 +22,7 @@ import (
 // first (mimicking a half-indexed document that the live index
 // tombstoned before surfacing the error).
 type scriptedIngestor struct {
-	*db.DB
+	*shard.DB
 	failAdd       error
 	consumeOnFail bool
 	failUpdate    error
@@ -59,7 +60,7 @@ func newIngestFleet(t *testing.T) (*Fleet, []*scriptedIngestor) {
 	wraps := make([]*scriptedIngestor, 3)
 	backends := make([]Backend, 3)
 	for i := range wraps {
-		d := db.New(db.Options{Metrics: metrics.NewRegistry()})
+		d := shard.New(shard.Options{Metrics: metrics.NewRegistry()})
 		if err := d.LoadString("seed.xml", "<doc><p>seed text</p></doc>"); err != nil {
 			t.Fatal(err)
 		}
@@ -80,16 +81,21 @@ func assertAligned(t *testing.T, wraps []*scriptedIngestor, name string) {
 	t.Helper()
 	wantID, wantCur := storage.DocID(0), -1
 	for i, w := range wraps {
-		doc := w.Store().DocByName(name)
-		if doc == nil {
+		id := storage.DocID(-1)
+		for g := 0; g < w.AllocatedDocIDs(); g++ {
+			if w.DocName(storage.DocID(g)) == name {
+				id = storage.DocID(g)
+			}
+		}
+		if id < 0 {
 			t.Fatalf("replica %d is missing %q", i, name)
 		}
 		if i == 0 {
-			wantID, wantCur = doc.ID, w.AllocatedDocIDs()
+			wantID, wantCur = id, w.AllocatedDocIDs()
 			continue
 		}
-		if doc.ID != wantID {
-			t.Errorf("replica %d numbered %q as %d, replica 0 as %d", i, name, doc.ID, wantID)
+		if id != wantID {
+			t.Errorf("replica %d numbered %q as %d, replica 0 as %d", i, name, id, wantID)
 		}
 		if cur := w.AllocatedDocIDs(); cur != wantCur {
 			t.Errorf("replica %d allocation cursor = %d, replica 0 = %d", i, cur, wantCur)

@@ -151,37 +151,8 @@ func BuildChecked(s *storage.Store, tok *tokenize.Tokenizer) (*Index, error) {
 	return idx, nil
 }
 
-// Restore reconstitutes an index from previously-built raw posting lists
-// (the v1 persistence path of internal/db): it validates ordering,
-// recomputes the derived statistics, and block-encodes each list.
-func Restore(s *storage.Store, tok *tokenize.Tokenizer, raw map[string][]Posting) (*Index, error) {
-	idx := &Index{
-		store: s,
-		tok:   tok,
-		lists: make(map[string]*postings.BlockList, len(raw)),
-	}
-	// Validate in sorted term order so a corrupt snapshot reports the
-	// same first offender on every run.
-	terms := make([]string, 0, len(raw))
-	for term := range raw {
-		terms = append(terms, term)
-	}
-	sort.Strings(terms)
-	for _, term := range terms {
-		ps := raw[term]
-		if !sort.SliceIsSorted(ps, func(i, j int) bool { return ps[i].Less(ps[j]) }) {
-			return nil, fmt.Errorf("index: restored postings for %q are out of order", term)
-		}
-		idx.total += int64(len(ps))
-		bl := postings.Encode(ps)
-		bl.MaybeBitmap()
-		idx.lists[term] = bl
-	}
-	return idx, nil
-}
-
 // RestoreBlocks reconstitutes an index from already-validated block lists
-// (the v2 persistence path of internal/db). The map is adopted, not
+// (the segment persistence path of internal/db). The map is adopted, not
 // copied; every BlockList must come from postings.NewBlockList or Encode.
 func RestoreBlocks(s *storage.Store, tok *tokenize.Tokenizer, lists map[string]*postings.BlockList) *Index {
 	idx := &Index{

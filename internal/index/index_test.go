@@ -1,10 +1,12 @@
 package index
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/postings"
 	"repro/internal/storage"
 	"repro/internal/tokenize"
 	"repro/internal/xmltree"
@@ -204,24 +206,26 @@ func TestCursorSeekAcrossDocuments(t *testing.T) {
 
 func TestRestoreValidation(t *testing.T) {
 	s, idx := buildIndex(t, map[string]string{"a.xml": `<a>x y x</a>`})
-	// A valid restore reproduces the statistics.
-	postings := map[string][]Posting{
-		"x": append([]Posting(nil), idx.Postings("x")...),
-		"y": append([]Posting(nil), idx.Postings("y")...),
+	// Restoring the encoded blocks (the snapshot load path) reproduces the
+	// statistics.
+	lists := map[string]*postings.BlockList{}
+	for _, term := range []string{"x", "y"} {
+		bl := idx.BlockList(term)
+		restored, err := postings.NewBlockList(bl.Len(), bl.Skips(), bl.Payload())
+		if err != nil {
+			t.Fatal(err)
+		}
+		lists[term] = restored
 	}
-	r, err := Restore(s, idx.Tokenizer(), postings)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := RestoreBlocks(s, idx.Tokenizer(), lists)
 	if r.TermFreq("x") != 2 || r.NodeFreq("x") != 1 || r.TotalOccurrences() != 3 {
 		t.Errorf("restored stats wrong: %d %d %d", r.TermFreq("x"), r.NodeFreq("x"), r.TotalOccurrences())
 	}
-	// Out-of-order postings are rejected.
-	bad := map[string][]Posting{
-		"x": {{Doc: 0, Pos: 9}, {Doc: 0, Pos: 1}},
-	}
-	if _, err := Restore(s, idx.Tokenizer(), bad); err == nil {
-		t.Errorf("out-of-order restore accepted")
+	// A skip table that does not cover the declared postings is rejected
+	// before it can reach RestoreBlocks.
+	bl := idx.BlockList("x")
+	if _, err := postings.NewBlockList(bl.Len()+1, bl.Skips(), bl.Payload()); !errors.Is(err, postings.ErrCorrupt) {
+		t.Errorf("short skip table accepted: %v", err)
 	}
 }
 

@@ -26,7 +26,7 @@ import (
 // cache (asserted via the hit counter), which is the path that would
 // expose a stale or corrupted entry.
 
-// backend is the common surface of db.DB and shard.DB the suite drives.
+// backend is the facade surface the suite drives.
 type backend interface {
 	LoadString(name, src string) error
 	Warm()
@@ -220,9 +220,9 @@ func runDifferential(t *testing.T, cached, oracle backend) {
 }
 
 func TestDifferentialMonolithic(t *testing.T) {
-	cached := db.New(db.Options{CacheBytes: 1 << 20, Metrics: metrics.NewRegistry()})
+	cached := shard.New(shard.Options{CacheBytes: 1 << 20, Metrics: metrics.NewRegistry()})
 	defer cached.Close()
-	oracle := db.New(db.Options{Metrics: metrics.NewRegistry()})
+	oracle := shard.New(shard.Options{Metrics: metrics.NewRegistry()})
 	runDifferential(t, cached, oracle)
 }
 
@@ -234,17 +234,13 @@ func TestDifferentialSharded(t *testing.T) {
 }
 
 // TestDifferentialShardedVsMonolithic closes the triangle on a static
-// corpus: the cached sharded facade must agree with an uncached
-// monolithic oracle (global-id rewriting happens before results enter
+// corpus: the cached 3-segment facade must agree with an uncached
+// one-segment oracle (global-id rewriting happens before results enter
 // the cache, so cached entries must already be in facade coordinates).
-// Static only — after updates the facade's name table reuses freed
-// global-id slots while the monolithic store allocates fresh ids, so
-// cross-topology id equality is only guaranteed for identical load
-// histories (same scope as the shard equivalence suite).
 func TestDifferentialShardedVsMonolithic(t *testing.T) {
-	cached := shard.New(shard.Options{Shards: 1, CacheBytes: 1 << 20, Metrics: metrics.NewRegistry()})
+	cached := shard.New(shard.Options{Shards: 3, CacheBytes: 1 << 20, Metrics: metrics.NewRegistry()})
 	defer cached.Close()
-	oracle := db.New(db.Options{Metrics: metrics.NewRegistry()})
+	oracle := shard.New(shard.Options{Metrics: metrics.NewRegistry()})
 	ctx := context.Background()
 	for i := 0; i < 30; i++ {
 		for _, b := range []backend{cached, oracle} {
@@ -274,7 +270,7 @@ func TestDifferentialShardedVsMonolithic(t *testing.T) {
 			t.Errorf("%s: repeat call not served from cache", fam.name)
 		}
 		if !reflect.DeepEqual(got1, want) || !reflect.DeepEqual(got2, want) {
-			t.Errorf("%s: sharded cached results diverge from monolithic oracle", fam.name)
+			t.Errorf("%s: sharded cached results diverge from the one-segment oracle", fam.name)
 		}
 	}
 }
@@ -292,7 +288,7 @@ func TestDifferentialIngestWhileQuerying(t *testing.T) {
 	if testing.Short() {
 		nDocs = 2_000
 	}
-	cached := db.New(db.Options{CacheBytes: 8 << 20, Metrics: metrics.NewRegistry()})
+	cached := shard.New(shard.Options{CacheBytes: 8 << 20, Metrics: metrics.NewRegistry()})
 	defer cached.Close()
 	// Seed one document and warm so the live index (and with it the
 	// cache's generation token) exists before readers start.
@@ -349,7 +345,7 @@ func TestDifferentialIngestWhileQuerying(t *testing.T) {
 	}
 	cached.WaitCompaction()
 
-	scratch := db.New(db.Options{Metrics: metrics.NewRegistry()})
+	scratch := shard.New(shard.Options{Metrics: metrics.NewRegistry()})
 	for i := 0; i < nDocs; i++ {
 		if err := scratch.LoadString(diffDocName(i), diffDocSrc(i)); err != nil {
 			t.Fatal(err)

@@ -30,9 +30,8 @@ import (
 //   - TopK and MinScore at or below zero mean "disabled" and fold to 0.
 //
 // Execution hints that cannot change results stay out of the key: the
-// Parallel worker count (exec.SortRanked's total order makes worker
-// scheduling invisible) and the Enhanced child-count mode (proven
-// result-equivalent to navigation by the exec differential suites).
+// Enhanced child-count mode (proven result-equivalent to navigation by
+// the exec differential suites).
 
 // Family tags the query family a key belongs to, so identical payloads
 // from different entry points can never collide.

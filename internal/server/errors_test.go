@@ -9,9 +9,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/db"
 	"repro/internal/exec"
 	"repro/internal/fleet"
+	"repro/internal/shard"
 	"repro/internal/storage"
 )
 
@@ -90,7 +90,7 @@ func TestTermsTimeoutReturns408(t *testing.T) {
 
 func TestAccessLimitReturns422(t *testing.T) {
 	s, ts, reg := newIsolatedServer(t)
-	s.DB.(*db.DB).SetLimits(exec.Limits{MaxAccesses: 5, CheckEvery: 1})
+	s.DB.(*shard.DB).SetLimits(exec.Limits{MaxAccesses: 5, CheckEvery: 1})
 	resp, err := http.Post(ts.URL+"/terms", "application/json",
 		strings.NewReader(`{"terms":["search","engine"]}`))
 	if err != nil {
@@ -109,7 +109,7 @@ func TestAccessLimitReturns422(t *testing.T) {
 func TestInjectedFaultReturns503(t *testing.T) {
 	s, ts, reg := newIsolatedServer(t)
 	s.DB.Stats() // build the index before arming faults
-	s.DB.(*db.DB).Store().SetFaults(&storage.FaultInjector{FailEvery: 1})
+	s.DB.(*shard.DB).SetFaults(&storage.FaultInjector{FailEvery: 1})
 	resp, err := http.Post(ts.URL+"/terms", "application/json",
 		strings.NewReader(`{"terms":["search","engine"]}`))
 	if err != nil {
@@ -122,7 +122,7 @@ func TestInjectedFaultReturns503(t *testing.T) {
 	}
 
 	// The server keeps serving after the fault: disarm and retry.
-	s.DB.(*db.DB).Store().SetFaults(nil)
+	s.DB.(*shard.DB).SetFaults(nil)
 	resp2, err := http.Post(ts.URL+"/terms", "application/json",
 		strings.NewReader(`{"terms":["search"]}`))
 	if err != nil {

@@ -8,8 +8,8 @@ import (
 	"repro/internal/db"
 )
 
-// Ingestor is the optional mutation surface of a Backend. Both *db.DB and
-// the sharded *shard.DB satisfy it; a backend without it (or a server with
+// Ingestor is the optional mutation surface of a Backend. *shard.DB and
+// *fleet.Fleet satisfy it; a backend without it (or a server with
 // ingestion disabled) answers the document endpoints with 501.
 //
 //	POST   /docs          {"name": "...", "xml": "..."}  add a document

@@ -122,7 +122,7 @@ func (s *Server) withObservability(next http.Handler) http.Handler {
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
 		func() {
-			// Last line of defense: the db facade already recovers engine
+			// Last line of defense: the shard facade already recovers engine
 			// panics, but a handler bug must not take the connection (and
 			// its log/metrics record) down with it.
 			defer func() {

@@ -75,9 +75,9 @@ import (
 	"repro/internal/xq"
 )
 
-// Backend is the database surface the server runs on: the monolithic
-// *db.DB and the sharded *shard.DB both satisfy it, so one server binary
-// fronts either layout. All methods must be safe for concurrent read use
+// Backend is the database surface the server runs on: the *shard.DB
+// facade (one or more segments) and the replicated *fleet.Fleet both
+// satisfy it. All methods must be safe for concurrent read use
 // once the backend is fully loaded.
 type Backend interface {
 	Stats() db.Stats
@@ -138,7 +138,7 @@ type Server struct {
 	started time.Time
 }
 
-// New returns a server over a backend (a *db.DB or a sharded *shard.DB).
+// New returns a server over a backend (a *shard.DB or a *fleet.Fleet).
 func New(d Backend) *Server {
 	return &Server{DB: d, MaxResults: 100, started: time.Now()}
 }
@@ -438,7 +438,7 @@ type readinessProber interface {
 }
 
 // compactionBackloger is the optional backend surface reporting
-// outstanding compaction work (db.DB, shard.DB and the fleet expose it).
+// outstanding compaction work (shard.DB and the fleet expose it).
 type compactionBackloger interface {
 	CompactionBacklog() int
 }
@@ -550,10 +550,9 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 
 // TermsRequest is the /terms payload.
 type TermsRequest struct {
-	Terms    []string `json:"terms"`
-	TopK     int      `json:"topK"`
-	Complex  bool     `json:"complex"`
-	Parallel int      `json:"parallel"`
+	Terms   []string `json:"terms"`
+	TopK    int      `json:"topK"`
+	Complex bool     `json:"complex"`
 }
 
 // TermResult is one result of /terms.
@@ -580,7 +579,7 @@ func (s *Server) handleTerms(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.queryCtx(r)
 	defer cancel()
 	results, err := s.DB.TermSearchContext(ctx, req.Terms, db.TermSearchOptions{
-		TopK: topK, Complex: req.Complex, Parallel: req.Parallel,
+		TopK: topK, Complex: req.Complex,
 	})
 	if err != nil {
 		evalError(w, err)

@@ -12,9 +12,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/db"
 	"repro/internal/fixture"
 	"repro/internal/metrics"
+	"repro/internal/shard"
 )
 
 // newIsolatedServer builds a server over the fixture corpus with its own
@@ -22,7 +22,7 @@ import (
 func newIsolatedServer(t *testing.T) (*Server, *httptest.Server, *metrics.Registry) {
 	t.Helper()
 	reg := metrics.NewRegistry()
-	d := db.New(db.Options{Stemming: true, Metrics: reg})
+	d := shard.New(shard.Options{Stemming: true, Metrics: reg})
 	if err := d.LoadString("articles.xml", fixture.ArticlesXML); err != nil {
 		t.Fatal(err)
 	}
@@ -221,14 +221,17 @@ func TestOversizedBodyRejected(t *testing.T) {
 
 func TestUnknownFieldsRejected(t *testing.T) {
 	ts := newTestServer(t)
-	resp, err := http.Post(ts.URL+"/terms", "application/json",
-		strings.NewReader(`{"terms":["a"],"nonsense":true}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown field status = %d, want 400", resp.StatusCode)
+	// "parallel" is the retired intra-query worker count: parallelism is
+	// the segment fan-out now, and a client still sending it gets a 400.
+	for _, body := range []string{`{"terms":["a"],"nonsense":true}`, `{"terms":["a"],"parallel":4}`} {
+		resp, err := http.Post(ts.URL+"/terms", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400", body, resp.StatusCode)
+		}
 	}
 }
 
@@ -341,7 +344,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 }
 
 func TestMaxResultsCap(t *testing.T) {
-	d := db.New(db.Options{Stemming: true})
+	d := shard.New(shard.Options{Stemming: true})
 	if err := d.LoadString("articles.xml", fixture.ArticlesXML); err != nil {
 		t.Fatal(err)
 	}

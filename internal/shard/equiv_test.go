@@ -9,17 +9,15 @@ import (
 
 	"repro/internal/db"
 	"repro/internal/exec"
+	"repro/internal/scoring"
 	"repro/internal/server"
 	"repro/internal/storage"
 	"repro/internal/synth"
 	"repro/internal/xmltree"
 )
 
-// The sharded facade must satisfy the same server surface as db.DB.
-var (
-	_ server.Backend = (*DB)(nil)
-	_ server.Backend = (*db.DB)(nil)
-)
+// The facade is the server's backend.
+var _ server.Backend = (*DB)(nil)
 
 // equivShardCounts is the sweep the differential suite runs: the trivial
 // single-shard case, counts that divide the corpus unevenly, and more
@@ -49,9 +47,12 @@ func corpusDocs(t testing.TB, n int, seed int64) (names []string, roots []*xmltr
 	return names, roots
 }
 
-// newOracle loads the documents into a monolithic database. Because the
-// sharded facade numbers documents globally in load order, the oracle's
-// document ids coincide with the sharded global ids.
+// newOracle loads the documents into one segment. Because the facade
+// numbers documents globally in load order, the oracle's document ids
+// coincide with the facade's global ids. The oracle is queried by running
+// the exec operators directly over one view of that segment (the oracle*
+// helpers below) — independent of the facade's fan-out, id rewrite,
+// merge, cache and metrics.
 func newOracle(t testing.TB, names []string, roots []*xmltree.Node) *db.DB {
 	t.Helper()
 	d := db.New(db.Options{})
@@ -73,6 +74,77 @@ func newSharded(t testing.TB, n int, strategy Strategy, names []string, roots []
 		}
 	}
 	return s
+}
+
+// oracleTermSearch runs a TermJoin over one view of the oracle segment.
+func oracleTermSearch(t testing.TB, o *db.DB, terms []string, opts db.TermSearchOptions) []exec.ScoredNode {
+	t.Helper()
+	v := o.View()
+	mode := exec.ChildCountNavigate
+	if opts.Enhanced {
+		mode = exec.ChildCountIndexed
+	}
+	tj := &exec.TermJoin{Index: v.Index, Acc: v.Accessor(nil), ChildCounts: mode, Query: exec.TermQuery{
+		Terms:   terms,
+		Complex: opts.Complex,
+		Scorer: exec.DefaultScorer{
+			SimpleFn:  scoring.SimpleScorer{Weights: opts.Weights},
+			ComplexFn: scoring.ComplexScorer{Weights: opts.Weights},
+		},
+	}}
+	run := func(emit exec.Emit) error {
+		if opts.MinScore > 0 {
+			emit = exec.FilterMinScore(opts.MinScore, emit)
+		}
+		return tj.Run(emit)
+	}
+	var out []exec.ScoredNode
+	var err error
+	if opts.TopK > 0 {
+		tk := exec.NewTopK(opts.TopK)
+		err = run(tk.Emit())
+		out = tk.Results()
+	} else {
+		out, err = exec.Collect(run)
+		exec.SortRanked(out)
+	}
+	if err != nil {
+		t.Fatalf("oracle term search: %v", err)
+	}
+	return out
+}
+
+// oraclePhrase runs a PhraseFinder over one view of the oracle segment.
+func oraclePhrase(t testing.TB, o *db.DB, phrase []string) []exec.PhraseMatch {
+	t.Helper()
+	pf := &exec.PhraseFinder{Index: o.View().Index, Phrase: phrase}
+	out, err := exec.CollectPhrase(pf.Run)
+	if err != nil {
+		t.Fatalf("oracle phrase search: %v", err)
+	}
+	return out
+}
+
+// oracleTwig runs TwigStack over every document of one view of the oracle
+// segment and keeps each distinct pattern-root binding, in order.
+func oracleTwig(t testing.TB, o *db.DB, pattern *exec.TwigNode) []TwigRef {
+	t.Helper()
+	v := o.View()
+	var out []TwigRef
+	for _, doc := range v.Docs() {
+		matches, err := (&exec.TwigStack{Store: v.Store, Doc: doc.ID, Root: pattern}).Run()
+		if err != nil {
+			t.Fatalf("oracle twig: %v", err)
+		}
+		seen := map[int32]bool{}
+		for _, m := range matches {
+			if !seen[m[0]] {
+				seen[m[0]] = true
+				out = append(out, TwigRef{Doc: doc.ID, Ord: m[0]})
+			}
+		}
+	}
+	return out
 }
 
 // sameScored asserts element-for-element identity (doc, ord, score, order).
@@ -110,10 +182,7 @@ func TestShardedTermSearchMatchesUnsharded(t *testing.T) {
 		{"weights", db.TermSearchOptions{Complex: true, Weights: []float64{0.9, 0.3}}},
 	}
 	for _, tc := range cases {
-		want, err := oracle.TermSearchContext(context.Background(), terms, tc.opts)
-		if err != nil {
-			t.Fatalf("%s: oracle: %v", tc.label, err)
-		}
+		want := oracleTermSearch(t, oracle, terms, tc.opts)
 		if len(want) == 0 {
 			t.Fatalf("%s: oracle returned no results", tc.label)
 		}
@@ -137,21 +206,22 @@ func TestShardedMethodsMatchMonolithic(t *testing.T) {
 	for _, method := range []Method{
 		MethodTermJoin, MethodEnhancedTermJoin, MethodComp1, MethodComp2, MethodGenMeet,
 	} {
-		// Monolithic reference: the same operator over the oracle's index.
+		// Reference: the same operator over one view of the oracle segment.
 		q := exec.TermQuery{Terms: terms, Scorer: exec.DefaultScorer{}}
-		acc := storage.NewAccessor(oracle.Store())
+		v := oracle.View()
+		acc := v.Accessor(nil)
 		var runner interface{ Run(exec.Emit) error }
 		switch method {
 		case MethodTermJoin:
-			runner = &exec.TermJoin{Index: oracle.Index(), Acc: acc, Query: q, ChildCounts: exec.ChildCountNavigate}
+			runner = &exec.TermJoin{Index: v.Index, Acc: acc, Query: q, ChildCounts: exec.ChildCountNavigate}
 		case MethodEnhancedTermJoin:
-			runner = &exec.TermJoin{Index: oracle.Index(), Acc: acc, Query: q, ChildCounts: exec.ChildCountIndexed}
+			runner = &exec.TermJoin{Index: v.Index, Acc: acc, Query: q, ChildCounts: exec.ChildCountIndexed}
 		case MethodComp1:
-			runner = &exec.Comp1{Index: oracle.Index(), Acc: acc, Query: q}
+			runner = &exec.Comp1{Index: v.Index, Acc: acc, Query: q}
 		case MethodComp2:
-			runner = &exec.Comp2{Index: oracle.Index(), Acc: acc, Query: q}
+			runner = &exec.Comp2{Index: v.Index, Acc: acc, Query: q}
 		case MethodGenMeet:
-			runner = &exec.GenMeet{Index: oracle.Index(), Acc: acc, Query: q}
+			runner = &exec.GenMeet{Index: v.Index, Acc: acc, Query: q}
 		}
 		want, err := exec.Collect(runner.Run)
 		if err != nil {
@@ -176,10 +246,7 @@ func TestShardedPhraseMatchesUnsharded(t *testing.T) {
 	names, roots := corpusDocs(t, 7, 99)
 	oracle := newOracle(t, names, roots)
 	phrase := []string{"ctla", "ctlb"}
-	want, err := oracle.PhraseSearchContext(context.Background(), phrase)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oraclePhrase(t, oracle, phrase)
 	if len(want) == 0 {
 		t.Fatal("oracle found no phrase occurrences")
 	}
@@ -208,10 +275,7 @@ func TestShardedTwigMatchesUnsharded(t *testing.T) {
 		exec.Twig("sec", exec.Twig("p")),
 	}
 	for pi, pattern := range patterns {
-		want, err := oracle.TwigRefsContext(context.Background(), pattern)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := oracleTwig(t, oracle, pattern)
 		if len(want) == 0 {
 			t.Fatalf("pattern %d: oracle found no twig matches", pi)
 		}
@@ -250,7 +314,7 @@ func TestShardedQueryMatchesUnsharded(t *testing.T) {
 	oracle := newOracle(t, names, roots)
 	for _, name := range names {
 		src := queryFor(name)
-		want, err := oracle.QueryContext(context.Background(), src)
+		want, err := oracle.View().Engine(nil, nil).EvalString(src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,8 +381,9 @@ func TestShardedMaterializeAndNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := oracle.View()
 	for _, r := range res {
-		want := oracle.Materialize(r.Doc, r.Ord)
+		want := v.Store.Doc(r.Doc).TreeNode(r.Ord)
 		got := s.Materialize(r.Doc, r.Ord)
 		if got == nil || want == nil {
 			t.Fatalf("materialize (doc %d, ord %d): got %v, want %v", r.Doc, r.Ord, got, want)
@@ -327,7 +392,7 @@ func TestShardedMaterializeAndNames(t *testing.T) {
 			t.Fatalf("materialize (doc %d, ord %d): <%s> [%d,%d], want <%s> [%d,%d]",
 				r.Doc, r.Ord, got.Tag, got.Start, got.End, want.Tag, want.Start, want.End)
 		}
-		if gn, wn := s.NameOf(r), oracle.NameOf(r); gn != wn {
+		if gn, wn := s.NameOf(r), v.Store.Tags.Name(v.Store.Doc(r.Doc).Nodes[r.Ord].Tag); gn != wn {
 			t.Fatalf("NameOf(doc %d, ord %d) = %q, want %q", r.Doc, r.Ord, gn, wn)
 		}
 	}

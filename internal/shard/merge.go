@@ -1,13 +1,11 @@
 package shard
 
-import (
-	"repro/internal/db"
-	"repro/internal/exec"
-)
+import "repro/internal/exec"
 
 // The merge step is where sharded evaluation re-establishes the
 // single-store ordering contract. Every per-shard run arrives already
-// sorted (workers sort or TopK their own output), so the merger only
+// sorted by global id (workers rewrite to global ids, then sort or TopK
+// their own output), so the merger only
 // interleaves sorted runs. Shard counts are small, so a linear scan of
 // the run heads per output element beats a heap on constant factors and
 // stays obviously deterministic.
@@ -58,25 +56,28 @@ func mergeRanked(runs [][]exec.ScoredNode) []exec.ScoredNode {
 	return kwayMerge(runs, exec.RankedBefore)
 }
 
-// mergePhrase merges phrase-match runs into (document, position) order,
-// the order the monolithic PhraseFinder emits.
+// phraseBefore is the (document, position, node) order a single-segment
+// PhraseFinder emits.
+func phraseBefore(a, b exec.PhraseMatch) bool {
+	if a.Doc != b.Doc {
+		return a.Doc < b.Doc
+	}
+	if a.Pos != b.Pos {
+		return a.Pos < b.Pos
+	}
+	return a.Node < b.Node
+}
+
+// mergePhrase merges phrase-match runs into phraseBefore order.
 func mergePhrase(runs [][]exec.PhraseMatch) []exec.PhraseMatch {
-	return kwayMerge(runs, func(a, b exec.PhraseMatch) bool {
-		if a.Doc != b.Doc {
-			return a.Doc < b.Doc
-		}
-		if a.Pos != b.Pos {
-			return a.Pos < b.Pos
-		}
-		return a.Node < b.Node
-	})
+	return kwayMerge(runs, phraseBefore)
 }
 
 // mergeTwigRefs merges twig-match runs by global document order. A
 // document lives wholly in one shard, so comparing by document alone
 // preserves each document's internal match order unchanged.
-func mergeTwigRefs(runs [][]db.TwigRef) []db.TwigRef {
-	return kwayMerge(runs, func(a, b db.TwigRef) bool {
+func mergeTwigRefs(runs [][]TwigRef) []TwigRef {
+	return kwayMerge(runs, func(a, b TwigRef) bool {
 		return a.Doc < b.Doc
 	})
 }

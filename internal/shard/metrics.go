@@ -9,30 +9,55 @@ import (
 	"repro/internal/storage"
 )
 
-// Sharded query evaluation records the same per-op metric families as
-// internal/db (tix_query_seconds{op=...} and friends — see db's metrics
-// documentation), plus per-shard worker instrumentation:
+// Per-query metric families recorded by the facade. Every query entry
+// point records under its op label:
+//
+//	tix_query_seconds{op=...}            latency histogram (log-scale buckets)
+//	tix_queries_total{op=...}            evaluations started
+//	tix_query_errors_total{op=...}       evaluations that returned an error
+//	tix_query_results_total{op=...}      results returned
+//	tix_access_node_reads_total{op=...}  store node-record fetches
+//	tix_access_page_reads_total{op=...}  distinct-page transitions
+//	tix_access_text_reads_total{op=...}  text payload fetches
+//	tix_access_nav_steps_total{op=...}   child/sibling navigation steps
+//
+// Failed evaluations are additionally classified by cause:
+//
+//	tix_query_timeouts_total{op=...}        deadline exceeded (exec.ErrDeadlineExceeded)
+//	tix_query_canceled_total{op=...}        context canceled (exec.ErrCanceled)
+//	tix_query_limit_exceeded_total{op=...}  resource budget exhausted (exec.ErrLimitExceeded)
+//	tix_query_faults_total{op=...}          storage faults (storage.ErrInjectedFault)
+//	tix_query_panics_total{op=...}          panics recovered at the facade (ErrPanic)
+//
+// Fan-out ops (terms, phrase, twig) observe once with the workers'
+// combined access stats, plus per-shard worker instrumentation:
 //
 //	tix_shard_seconds{op=...,shard=...}       worker latency histogram
 //	tix_shard_errors_total{op=...,shard=...}  worker failures
 //	tix_shard_documents{shard=...}            documents resident per shard
 //
-// Fan-out ops (terms, phrase, twig) observe once at the facade with the
-// workers' combined access stats; routed ops (query, explain) are
-// observed by the owning segment, which shares the registry.
+// The access-stat counters are the paper's cost-accounting (the numbers
+// behind Tables 1–5) surfaced as a runtime feature: a scrape after a
+// production query shows *why* it was expensive, not only that it was.
 const (
-	opTerms  = "terms"
-	opPhrase = "phrase"
-	opTwig   = "twig"
+	opQuery   = "query"
+	opExplain = "explain"
+	opTerms   = "terms"
+	opPhrase  = "phrase"
+	opJoin    = "join"
+	opTwig    = "twig"
 )
 
-// ErrPanic marks errors produced by recovering a panic at the shard
-// facade or worker boundary; the fleet layer treats them as replica
-// faults eligible for retry on a healthy twin.
+// ErrPanic marks errors produced by recovering a panic at the facade or
+// worker boundary; the fleet layer treats them as replica faults eligible
+// for retry on a healthy twin (fleet.Config.PanicErrors).
 var ErrPanic = errors.New("shard: recovered panic")
 
-// recoverPanic converts a panic inside the merge/facade path into a
-// returned error, mirroring db.recoverPanic.
+// recoverPanic converts a panic inside the evaluation engine into a
+// returned error, so injected storage faults and operator bugs degrade to
+// errors instead of crashing the process. Deferred at every facade entry
+// point, after the metrics defer (defers run LIFO, so the observation sees
+// the recovered error).
 func recoverPanic(errp *error) {
 	r := recover()
 	if r == nil {
@@ -50,8 +75,8 @@ func panicError(r interface{}) error {
 	return fmt.Errorf("%w: %v", ErrPanic, r)
 }
 
-// observe records one fan-out operation at the facade: latency, outcome,
-// result count, and the workers' combined store-access statistics.
+// observe records one query operation: latency, outcome, result count,
+// and the combined store-access statistics.
 func (s *DB) observe(op string, start time.Time, results int, stats storage.AccessStats, err error) {
 	reg := s.MetricsRegistry()
 	lbl := `{op="` + op + `"}`

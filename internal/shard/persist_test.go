@@ -2,7 +2,6 @@ package shard
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -74,16 +73,16 @@ func TestShardedLoadRejectsCorruption(t *testing.T) {
 		}
 	}
 	// Trailing garbage after the trailer.
-	if _, err := Load(bytes.NewReader(append(append([]byte(nil), good...), 'x'))); !errors.Is(err, ErrCorruptSnapshot) {
+	if _, err := Load(bytes.NewReader(append(append([]byte(nil), good...), 'x'))); !errors.Is(err, db.ErrCorruptSnapshot) {
 		t.Errorf("trailing garbage: err = %v, want ErrCorruptSnapshot", err)
 	}
-	// A legacy single-store snapshot is not a sharded container.
-	var legacy bytes.Buffer
-	if err := s.Segment(0).Save(&legacy); err != nil {
+	// A bare segment snapshot is not a database file.
+	var segment bytes.Buffer
+	if err := s.Segment(0).Save(&segment); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(bytes.NewReader(legacy.Bytes())); err == nil {
-		t.Error("legacy snapshot accepted by sharded Load")
+	if _, err := Load(bytes.NewReader(segment.Bytes())); err == nil {
+		t.Error("bare segment snapshot accepted by Load")
 	}
 	// The intact file still loads (the corruption loop must not have
 	// depended on shared state).
@@ -92,54 +91,49 @@ func TestShardedLoadRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestOpenFileSniffsBothFormats(t *testing.T) {
+// TestLoadFileAcceptsOnlyTheContainer: the container is the one database
+// file format. LoadFile opens it; a bare segment file, a short file and a
+// missing file are errors.
+func TestLoadFileAcceptsOnlyTheContainer(t *testing.T) {
 	dir := t.TempDir()
 	names, roots := corpusDocs(t, 5, 4)
 
-	shardedPath := filepath.Join(dir, "sharded.tix")
+	path := filepath.Join(dir, "db.tix")
 	s := newSharded(t, 2, RoundRobin, names, roots)
 	s.Warm()
-	if err := s.SaveFile(shardedPath); err != nil {
+	if err := s.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-
-	legacyPath := filepath.Join(dir, "legacy.tix")
-	mono := newOracle(t, names, roots)
-	mono.Index()
-	if err := mono.SaveFile(legacyPath); err != nil {
-		t.Fatal(err)
+	d, err := LoadFile(path)
+	if err != nil {
+		t.Fatalf("LoadFile: %v", err)
 	}
-
-	if ok, err := IsShardedFile(shardedPath); err != nil || !ok {
-		t.Fatalf("IsShardedFile(sharded) = %v, %v", ok, err)
-	}
-	if ok, err := IsShardedFile(legacyPath); err != nil || ok {
-		t.Fatalf("IsShardedFile(legacy) = %v, %v", ok, err)
-	}
-
-	want, err := mono.TermSearchContext(context.Background(), []string{"ctla", "ctlb"}, db.TermSearchOptions{})
+	got, err := d.TermSearch([]string{"ctla", "ctlb"}, db.TermSearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{shardedPath, legacyPath} {
-		d, err := OpenFile(path)
-		if err != nil {
-			t.Fatalf("OpenFile(%s): %v", path, err)
-		}
-		got, err := d.TermSearch([]string{"ctla", "ctlb"}, db.TermSearchOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameScored(t, "OpenFile "+filepath.Base(path), got, want)
+	sameScored(t, "LoadFile", got, oracleTermSearch(t, newOracle(t, names, roots), []string{"ctla", "ctlb"}, db.TermSearchOptions{}))
+	// The reopened facade rejects duplicate names.
+	if err := d.LoadTree(names[0], roots[0]); err == nil {
+		t.Error("duplicate load accepted")
 	}
 
-	// Sniffing tolerates short files (reports not-sharded, not an error).
+	var seg bytes.Buffer
+	if err := s.Segment(0).Save(&seg); err != nil {
+		t.Fatal(err)
+	}
+	segPath := filepath.Join(dir, "segment.tix")
+	if err := os.WriteFile(segPath, seg.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	short := filepath.Join(dir, "short")
 	if err := os.WriteFile(short, []byte("abc"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := IsShardedFile(short); err != nil || ok {
-		t.Fatalf("IsShardedFile(short) = %v, %v", ok, err)
+	for _, bad := range []string{segPath, short, filepath.Join(dir, "missing.tix")} {
+		if _, err := LoadFile(bad); err == nil {
+			t.Errorf("LoadFile(%s) accepted", filepath.Base(bad))
+		}
 	}
 }
 
@@ -166,27 +160,5 @@ func TestReshardPreservesResults(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameScored(t, "after reshard", got, want)
-	}
-}
-
-func TestWrapExposesMonolithicDB(t *testing.T) {
-	names, roots := corpusDocs(t, 4, 2)
-	mono := newOracle(t, names, roots)
-	w := Wrap(mono)
-	if w.Shards() != 1 || w.DocumentCount() != len(names) {
-		t.Fatalf("wrap layout: shards=%d docs=%d", w.Shards(), w.DocumentCount())
-	}
-	want, err := mono.TermSearchContext(context.Background(), []string{"ctla"}, db.TermSearchOptions{TopK: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := w.TermSearch([]string{"ctla"}, db.TermSearchOptions{TopK: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameScored(t, "wrapped", got, want)
-	// The facade rejects duplicate names just like db does.
-	if err := w.LoadTree(names[0], roots[0]); err == nil {
-		t.Error("duplicate load accepted")
 	}
 }

@@ -1,14 +1,18 @@
-// Package shard partitions a corpus across N independent
-// storage.Store+index.Index segments and executes the paper's access
-// methods per shard in parallel behind a facade with the same surface as
-// internal/db. Each document lives wholly in one segment, chosen by a
-// stable hash of its name (or round-robin); because region encodings and
-// node ordinals are per-document, an element's (doc, ord, score) identity
-// is independent of which segment holds it, so a deterministic scored
-// k-way merge (exec.RankedBefore: score desc, then document asc, then
-// start ordinal asc — the same ordering contract as the single-store
-// paths) reproduces the monolithic results element for element. The
-// differential suite in equiv_test.go enforces exactly that.
+// Package shard is the database's query facade. It partitions a corpus
+// across N ≥ 1 independent segments (internal/db: a store plus a live
+// index each) and executes the paper's access methods per segment in
+// parallel, every worker reading through one pinned segment view. The
+// result cache, per-query metrics, resource limits and panic recovery
+// live here and nowhere else.
+//
+// Each document lives wholly in one segment, chosen by a stable hash of
+// its name (or round-robin); because region encodings and node ordinals
+// are per-document, an element's (doc, ord, score) identity is
+// independent of which segment holds it, so a deterministic scored k-way
+// merge (exec.RankedBefore: score desc, then document asc, then start
+// ordinal asc) reproduces the answer of one segment holding the whole
+// corpus element for element. The differential suite in equiv_test.go
+// enforces exactly that.
 //
 // Top-k queries push the limit down: each shard keeps its own k best, and
 // the merger re-thresholds to the global k — correct because any globally
@@ -65,8 +69,8 @@ type Options struct {
 	Shards int
 	// Strategy selects the document partitioner (default ByHash).
 	Strategy Strategy
-	// Stemming, Stopwords, Metrics and Limits apply to every segment,
-	// with the same meanings as db.Options.
+	// Stemming, Stopwords and Metrics apply to every segment, with the
+	// same meanings as db.Options.
 	Stemming  bool
 	Stopwords []string
 	Metrics   *metrics.Registry
@@ -74,7 +78,7 @@ type Options struct {
 	// across the shard workers of one query, not multiplied per shard.
 	Limits exec.Limits
 	// CacheBytes, when positive, attaches a generation-keyed result cache
-	// to the facade (never to the segments; see cache.go).
+	// to the facade (see cache.go).
 	CacheBytes int64
 }
 
@@ -87,8 +91,9 @@ type docRef struct {
 // DB is a sharded database: N independent db.DB segments behind the
 // facade. Documents are numbered globally in load order; every result
 // crossing the facade carries global document ids, so callers never see
-// segment-local coordinates. Like db.DB, a sharded DB must be fully
-// loaded (and ideally Warmed) before concurrent query use.
+// segment-local coordinates. Queries may run concurrently with the
+// mutation API; bulk loads (LoadTree and friends) should finish, and
+// Warm should run, before concurrent query use.
 type DB struct {
 	opts Options
 	segs []*db.DB
@@ -107,6 +112,11 @@ type DB struct {
 	// cache, when set, memoizes merged facade results per generation
 	// token (see cache.go).
 	cache atomic.Pointer[rescache.Cache]
+
+	// afterView, when set, runs in every reader after it has pinned its
+	// segment view and before it evaluates anything over it. Tests set it
+	// to land a concurrent mutation inside that window deterministically.
+	afterView func(shard int)
 }
 
 // New creates an empty sharded database. Options.Shards below 1 is
@@ -122,38 +132,15 @@ func New(opts Options) *DB {
 		globalOf: make([][]storage.DocID, opts.Shards),
 	}
 	for i := range s.segs {
-		// Segments get no CacheBytes: caching happens once, at the facade,
-		// after the merge and the global-id translation.
 		s.segs[i] = db.New(db.Options{
 			Stemming:  opts.Stemming,
 			Stopwords: opts.Stopwords,
 			Metrics:   opts.Metrics,
-			Limits:    opts.Limits,
 		})
 	}
 	if opts.CacheBytes > 0 {
 		s.EnableResultCache(opts.CacheBytes)
 	}
-	return s
-}
-
-// Wrap adapts an existing monolithic database into a single-segment
-// sharded facade — the bridge the cmds use for legacy snapshot files.
-func Wrap(d *db.DB) *DB {
-	o := d.Options()
-	s := New(Options{
-		Shards:    1,
-		Stemming:  o.Stemming,
-		Stopwords: o.Stopwords,
-		Metrics:   o.Metrics,
-		Limits:    o.Limits,
-	})
-	s.segs[0] = d
-	s.mu.Lock()
-	for _, doc := range d.Store().Docs() {
-		s.track(doc.Name, 0, doc.ID)
-	}
-	s.mu.Unlock()
 	return s
 }
 
@@ -163,8 +150,8 @@ func (s *DB) Shards() int { return len(s.segs) }
 // Strategy returns the document partitioning strategy.
 func (s *DB) Strategy() Strategy { return s.opts.Strategy }
 
-// Segment exposes one underlying segment (read-mostly; for tests and
-// persistence).
+// Segment exposes one underlying segment, whose ids are segment-local
+// (for tests, the benchmark's layer replays and persistence).
 func (s *DB) Segment(i int) *db.DB { return s.segs[i] }
 
 // MetricsRegistry returns the registry shard-level metrics record into.
@@ -177,12 +164,7 @@ func (s *DB) MetricsRegistry() *metrics.Registry {
 
 // SetLimits replaces the default per-query resource budget (shared by the
 // shard workers of one query).
-func (s *DB) SetLimits(l exec.Limits) {
-	s.opts.Limits = l
-	for _, seg := range s.segs {
-		seg.SetLimits(l)
-	}
-}
+func (s *DB) SetLimits(l exec.Limits) { s.opts.Limits = l }
 
 // limitsOr returns the per-call budget when set, else the default.
 func (s *DB) limitsOr(limits exec.Limits) exec.Limits {
@@ -348,7 +330,7 @@ func (s *DB) Warm() {
 
 // Stats aggregates the segment statistics (forcing index construction).
 // Terms counts the distinct terms of the union vocabulary, matching what
-// a monolithic database over the same corpus would report.
+// one segment holding the whole corpus would report.
 func (s *DB) Stats() db.Stats {
 	s.Warm()
 	var st db.Stats
@@ -367,32 +349,34 @@ func (s *DB) Stats() db.Stats {
 	return st
 }
 
-// toGlobal rewrites segment-local document ids to global ids, in place.
-// Within one shard the local order is a subsequence of the global order,
-// so the rewrite preserves any (score, doc, ord) sorting.
-func (s *DB) toGlobal(shard int, nodes []exec.ScoredNode) {
-	ids := s.globalIDs(shard)
-	for i := range nodes {
-		nodes[i].Doc = ids[nodes[i].Doc]
-	}
-}
-
 // Materialize returns the xmltree subtree for a result element (global
-// document id).
+// document id). Documents are immutable once loaded, so it reads the
+// segment's document record directly instead of copying a table.
 func (s *DB) Materialize(doc storage.DocID, ord int32) *xmltree.Node {
-	ref, ok := s.refOf(doc)
-	if !ok {
+	_, d := s.document(doc)
+	if d == nil {
 		return nil
 	}
-	return s.segs[ref.shard].Materialize(ref.local, ord)
+	return d.TreeNode(ord)
 }
 
 // NameOf returns the element tag name of a scored node (global document
 // id).
 func (s *DB) NameOf(n exec.ScoredNode) string {
-	ref, ok := s.refOf(n.Doc)
-	if !ok {
+	st, d := s.document(n.Doc)
+	if d == nil || int(n.Ord) < 0 || int(n.Ord) >= len(d.Nodes) {
 		return ""
 	}
-	return s.segs[ref.shard].NameOf(exec.ScoredNode{Doc: ref.local, Ord: n.Ord})
+	return st.Tags.Name(d.Nodes[n.Ord].Tag)
+}
+
+// document resolves a global document id to its segment store and current
+// record.
+func (s *DB) document(doc storage.DocID) (*storage.Store, *storage.Document) {
+	ref, ok := s.refOf(doc)
+	if !ok {
+		return nil, nil
+	}
+	st := s.segs[ref.shard].Store()
+	return st, st.Doc(ref.local)
 }

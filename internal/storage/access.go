@@ -28,7 +28,14 @@ type Accessor struct {
 // injector, if one is installed, and snapshots the document table so
 // concurrent ingestion cannot move it mid-query.
 func NewAccessor(s *Store) *Accessor {
-	return &Accessor{store: s, docs: s.Docs(), faults: s.Faults()}
+	return NewTableAccessor(s, s.Docs())
+}
+
+// NewTableAccessor returns an accessor over s that reads through docs, a
+// document table already captured from s (a segment view's), instead of
+// snapshotting the table again. It inherits the store's fault injector.
+func NewTableAccessor(s *Store, docs []*Document) *Accessor {
+	return &Accessor{store: s, docs: docs, faults: s.Faults()}
 }
 
 // Store returns the underlying store.

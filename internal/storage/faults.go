@@ -9,7 +9,7 @@ import (
 
 // AccessBudget is a shared store-access meter. Every Accessor attached to
 // the same budget adds its node-record fetches to one atomic counter, so a
-// query that fans out across goroutines (ParallelTermJoin workers) is
+// query that fans out across goroutines (the shard workers) is
 // metered as a whole. Enforcement lives in exec.Guard, which compares
 // Used() against the query's MaxAccesses limit at every cooperative check;
 // the budget itself only counts.
@@ -53,7 +53,7 @@ func (e *FaultError) Unwrap() error { return ErrInjectedFault }
 // A FaultInjector is installed store-wide with Store.SetFaults; every
 // Accessor created afterwards consults it on each node-record fetch. It is
 // a test/staging facility: FailEvery panics with *FaultError, which only
-// the db facade's entry points translate back into errors — code that
+// the shard facade's entry points translate back into errors — code that
 // drives exec operators directly will crash, by design.
 type FaultInjector struct {
 	// FailEvery makes every k-th store access fail (0 disables).

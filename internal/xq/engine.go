@@ -31,6 +31,33 @@ type Engine struct {
 	// dispatches to, and charged with every store access (the evaluation
 	// accessor is attached to the guard's budget).
 	Guard *exec.Guard
+	// Docs, when non-nil, is the pinned document source (a segment view)
+	// the engine resolves document names and builds its accessor through,
+	// so both see the generation Index was taken at. When nil the engine
+	// reads Store directly.
+	Docs DocSource
+}
+
+// DocSource is a pinned read cut of the documents behind Index.
+type DocSource interface {
+	DocByName(name string) *storage.Document
+	Accessor(g *exec.Guard) *storage.Accessor
+}
+
+// docByName resolves a document() name.
+func (e *Engine) docByName(name string) *storage.Document {
+	if e.Docs != nil {
+		return e.Docs.DocByName(name)
+	}
+	return e.Store.DocByName(name)
+}
+
+// accessor returns the evaluation accessor, attached to the guard.
+func (e *Engine) accessor() *storage.Accessor {
+	if e.Docs != nil {
+		return e.Docs.Accessor(e.Guard)
+	}
+	return e.Guard.Attach(storage.NewAccessor(e.Store))
 }
 
 // noteStats folds an evaluation accessor's counters into the engine's
@@ -83,11 +110,11 @@ func (e *Engine) Eval(q *Query) ([]Result, error) {
 
 // evalSingle evaluates the Query 1/2 shape.
 func (e *Engine) evalSingle(q *Query) ([]Result, error) {
-	doc := e.Store.DocByName(q.Fors[0].Path.Document)
+	doc := e.docByName(q.Fors[0].Path.Document)
 	if doc == nil {
 		return nil, fmt.Errorf("xq: document %q not loaded", q.Fors[0].Path.Document)
 	}
-	acc := e.Guard.Attach(storage.NewAccessor(e.Store))
+	acc := e.accessor()
 	defer e.noteStats(acc)
 
 	anchors, expand, err := e.evalSteps(acc, doc, q.Fors[0].Path.Steps)

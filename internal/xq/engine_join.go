@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/scoring"
-	"repro/internal/storage"
 )
 
 // evalJoin evaluates the Query 3 shape (Fig. 10): two document-bound For
@@ -58,15 +57,15 @@ func (e *Engine) evalJoin(q *Query) ([]Result, error) {
 		return nil, fmt.Errorf("xq: ScoreBar must combine $%s with $%s", q.Let.Var, comp.Var)
 	}
 
-	leftDoc := e.Store.DocByName(left.Path.Document)
+	leftDoc := e.docByName(left.Path.Document)
 	if leftDoc == nil {
 		return nil, fmt.Errorf("xq: document %q not loaded", left.Path.Document)
 	}
-	rightDoc := e.Store.DocByName(right.Path.Document)
+	rightDoc := e.docByName(right.Path.Document)
 	if rightDoc == nil {
 		return nil, fmt.Errorf("xq: document %q not loaded", right.Path.Document)
 	}
-	acc := e.Guard.Attach(storage.NewAccessor(e.Store))
+	acc := e.accessor()
 	defer e.noteStats(acc)
 
 	leftAnchors, leftExpand, err := e.evalSteps(acc, leftDoc, left.Path.Steps)

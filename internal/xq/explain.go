@@ -26,7 +26,7 @@ func (e *Engine) Explain(src string) (string, error) {
 
 func (e *Engine) explainSingle(q *Query, sb *strings.Builder) (string, error) {
 	f := q.Fors[0]
-	doc := e.Store.DocByName(f.Path.Document)
+	doc := e.docByName(f.Path.Document)
 	if doc == nil {
 		return "", fmt.Errorf("xq: document %q not loaded", f.Path.Document)
 	}
