@@ -126,9 +126,14 @@ bench-hotpath:
 # The perf regression gate (wired into `make check`): re-measure the
 # cheap gate tier and compare against the committed baseline, normalized
 # by the in-file calibration loop; fails on >10% normalized-time or
-# allocs/op regression.
+# allocs/op regression. A cell's normalized cost also moves 20-50%
+# between processes on a shared VM (layout, vCPU placement), which the
+# attempts inside one process cannot see, so a failed gate is re-run
+# once in a fresh process: a genuine regression fails in both.
 bench-gate:
-	$(GO) run ./cmd/tixbench -gate BENCH_10.json
+	$(GO) run ./cmd/tixbench -gate BENCH_10.json || \
+	  { echo "bench gate: failed in this process; re-measuring in a fresh one"; \
+	    $(GO) run ./cmd/tixbench -gate BENCH_10.json; }
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi

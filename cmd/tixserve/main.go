@@ -232,10 +232,7 @@ func run(o options) error {
 		for i, d := range replicas {
 			bs[i] = d
 		}
-		f, err := fleet.New(fleet.Config{
-			HedgeAfter:  o.hedgeAfter,
-			PanicErrors: []error{shard.ErrPanic},
-		}, bs...)
+		f, err := fleet.New(fleet.Config{HedgeAfter: o.hedgeAfter}, bs...)
 		if err != nil {
 			return err
 		}

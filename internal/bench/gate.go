@@ -27,7 +27,11 @@ import (
 //     burst of neighbor load cannot fail the build on its own;
 //   - a whole-suite drift is credited only as far as the calibration
 //     cells themselves moved, so a uniform slowdown of every method on
-//     an unchanged machine still fails.
+//     an unchanged machine still fails;
+//   - `make bench-gate` re-runs a failed gate once in a fresh process,
+//     because a cell's normalized cost also moves between processes
+//     (memory layout, vCPU placement) in ways the attempts inside one
+//     process share; a genuine regression fails in both.
 
 // GateTolerance is the allowed normalized-time regression (0.10 = 10%).
 const GateTolerance = 0.10
@@ -319,8 +323,9 @@ func median(xs []float64) float64 {
 // attempt-to-attempt spread is this machine's live reproducibility, and
 // the whole-suite drift (credited only while the calibration cells moved;
 // see globalDrift) is its epoch offset from the baseline recording — a
-// "regression" inside tolerance+spread+drift is unfalsifiable. Allocation failures are never excused — allocation
-// counts do not depend on the machine's mood.
+// "regression" inside tolerance+spread+drift is unfalsifiable.
+// Allocation failures are never excused — allocation counts do not
+// depend on the machine's mood.
 func applyNoiseFloor(best map[string]GateResult, ratios map[string][]float64, order []string) {
 	drift := globalDrift(best, order)
 	for _, key := range order {

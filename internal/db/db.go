@@ -141,38 +141,41 @@ func (d *DB) Index() *index.Index {
 }
 
 // View is one consistent read cut of a segment: an index snapshot and
-// the document table it was taken with. Both are captured under the
-// segment mutex, so every document id the snapshot names is in the
-// table; readers build their accessors from the view, never from the
-// live store, and cannot pair a store and an index of different
-// generations.
+// the number of documents the store held when it was taken. Both are
+// captured under the segment mutex, so every document id the snapshot
+// names is below that count. The store's document table is append-only,
+// so its first n entries never change: readers build their accessors
+// from that prefix, never from the live table, and cannot pair a store
+// and an index of different generations. Taking a view copies nothing;
+// only the readers that resolve documents (Accessor, DocByName) pay for
+// the prefix.
 type View struct {
 	Store *storage.Store
 	Index *index.Index
-	docs  []*storage.Document
+	n     int
 }
 
-// View pins the current index snapshot and the document table covering
+// View pins the current index snapshot and the document count covering
 // it. An invariant violation during the initial index build panics,
 // exactly as index.Build does; the facade recovers it into a classified
 // error.
 func (d *DB) View() View {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return View{Store: d.store, Index: d.liveLocked().Snapshot(), docs: d.store.Docs()}
+	return View{Store: d.store, Index: d.liveLocked().Snapshot(), n: d.store.NumDocs()}
 }
 
 // Accessor returns an accounting accessor over the view's document table,
 // attached to the guard's budget (a plain accessor for a nil guard).
 func (v View) Accessor(g *exec.Guard) *storage.Accessor {
-	return g.Attach(storage.NewTableAccessor(v.Store, v.docs))
+	return g.Attach(storage.NewTableAccessor(v.Store, v.Store.DocsPrefix(v.n)))
 }
 
 // Docs returns the documents visible in the view, in id order: the
 // snapshot's live documents, none of them newer than the view's table.
 func (v View) Docs() []*storage.Document {
 	docs := v.Index.Docs()
-	for len(docs) > 0 && int(docs[len(docs)-1].ID) >= len(v.docs) {
+	for len(docs) > 0 && int(docs[len(docs)-1].ID) >= v.n {
 		docs = docs[:len(docs)-1]
 	}
 	return docs
@@ -183,12 +186,13 @@ func (v View) Docs() []*storage.Document {
 // by an Update after the view was taken — the newest version in the
 // view's table.
 func (v View) DocByName(name string) *storage.Document {
-	if doc := v.Store.DocByName(name); doc == nil || int(doc.ID) < len(v.docs) {
+	if doc := v.Store.DocByName(name); doc == nil || int(doc.ID) < v.n {
 		return doc
 	}
-	for i := len(v.docs) - 1; i >= 0; i-- {
-		if v.docs[i].Name == name {
-			return v.docs[i]
+	docs := v.Store.DocsPrefix(v.n)
+	for i := len(docs) - 1; i >= 0; i-- {
+		if docs[i].Name == name {
+			return docs[i]
 		}
 	}
 	return nil

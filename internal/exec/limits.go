@@ -24,6 +24,10 @@ var (
 	// (Limits.MaxResults or Limits.MaxAccesses). The concrete error is a
 	// *LimitError naming the resource.
 	ErrLimitExceeded = errors.New("exec: query resource limit exceeded")
+	// ErrPanic reports that evaluation panicked (an operator bug, a
+	// corrupted structure) and the query facade recovered the panic into
+	// an error. The serving fleet counts it as a replica fault.
+	ErrPanic = errors.New("exec: recovered panic")
 )
 
 // LimitError is the concrete error for an exhausted resource budget. It

@@ -56,7 +56,6 @@ func newChaosFleetCached(t *testing.T, cfg Config, cacheBytes int64) *chaosFleet
 		backends = append(backends, d)
 	}
 	cfg.Metrics = reg
-	cfg.PanicErrors = append(cfg.PanicErrors, shard.ErrPanic)
 	if cfg.Breaker == (BreakerConfig{}) {
 		cfg.Breaker = BreakerConfig{
 			Window:         8,

@@ -9,7 +9,7 @@
 //   - Health-checked routing. Every replica carries a circuit breaker fed
 //     by its request outcomes, classified through the exec error taxonomy:
 //     storage faults (storage.ErrInjectedFault), recovered panics
-//     (shard.ErrPanic, via Config.PanicErrors), and attempt-level deadline overruns
+//     (exec.ErrPanic), and attempt-level deadline overruns
 //     count against the replica; client-caused errors (parse failures,
 //     resource-budget exhaustion, the caller's own cancellation) do not.
 //     A replica whose windowed failure rate crosses the threshold is
@@ -104,11 +104,8 @@ type Config struct {
 	// metrics.Default).
 	Metrics *metrics.Registry
 	// PanicErrors are additional sentinels (beyond
-	// storage.ErrInjectedFault) classified as hard replica faults —
-	// retried on a twin and counted against the breaker. A *shard.DB
-	// backend adds shard.ErrPanic here; fleet itself cannot import the
-	// shard package (shard's tests exercise the server, which fronts a
-	// fleet, and Go rejects the resulting test-only cycle).
+	// storage.ErrInjectedFault and exec.ErrPanic) classified as hard
+	// replica faults — retried on a twin and counted against the breaker.
 	PanicErrors []error
 }
 
@@ -306,10 +303,10 @@ func (f *Fleet) hedgeDelay(rep *replica) time.Duration {
 }
 
 // hardFault reports errors that indict the replica's storage or engine
-// regardless of timing: injected storage faults and recovered panics
-// (the configured PanicErrors sentinels).
+// regardless of timing: injected storage faults, recovered panics, and
+// the configured PanicErrors sentinels.
 func (f *Fleet) hardFault(err error) bool {
-	if errors.Is(err, storage.ErrInjectedFault) {
+	if errors.Is(err, storage.ErrInjectedFault) || errors.Is(err, exec.ErrPanic) {
 		return true
 	}
 	for _, sentinel := range f.cfg.PanicErrors {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/db"
 	"repro/internal/exec"
 	"repro/internal/metrics"
-	"repro/internal/shard"
 	"repro/internal/storage"
 	"repro/internal/xmltree"
 	"repro/internal/xq"
@@ -75,7 +74,6 @@ func (f *fakeBackend) Materialize(doc storage.DocID, ord int32) *xmltree.Node {
 // and retry tunings and an isolated registry.
 func newTestFleet(t *testing.T, cfg Config, backends ...*fakeBackend) *Fleet {
 	t.Helper()
-	cfg.PanicErrors = append(cfg.PanicErrors, shard.ErrPanic)
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
@@ -145,7 +143,7 @@ func TestFleetRetriesReplicaFaultOnTwin(t *testing.T) {
 }
 
 func TestFleetBreakerEjectsSickReplica(t *testing.T) {
-	sick := &fakeBackend{failFor: func(int64) error { return shard.ErrPanic }}
+	sick := &fakeBackend{failFor: func(int64) error { return exec.ErrPanic }}
 	well := &fakeBackend{}
 	f := newTestFleet(t, Config{HedgeAfter: -1}, sick, well)
 	for i := 0; i < 20; i++ {

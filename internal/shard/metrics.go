@@ -49,9 +49,10 @@ const (
 )
 
 // ErrPanic marks errors produced by recovering a panic at the facade or
-// worker boundary; the fleet layer treats them as replica faults eligible
-// for retry on a healthy twin (fleet.Config.PanicErrors).
-var ErrPanic = errors.New("shard: recovered panic")
+// worker boundary. It is exec.ErrPanic, the one panic sentinel, under the
+// facade's name; the fleet layer treats it as a replica fault eligible
+// for retry on a healthy twin.
+var ErrPanic = exec.ErrPanic
 
 // recoverPanic converts a panic inside the evaluation engine into a
 // returned error, so injected storage faults and operator bugs degrade to

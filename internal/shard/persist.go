@@ -7,6 +7,7 @@ import (
 	"os"
 
 	"repro/internal/db"
+	"repro/internal/storage"
 )
 
 // Database file format (TIXSHD1), the one snapshot format:
@@ -35,19 +36,30 @@ const maxShards = 1 << 16
 
 // Save writes the sharded database — layout, document placement, and one
 // complete db.Save snapshot per segment — to w, followed by the container
-// integrity trailer.
+// integrity trailer. It holds the routing lock throughout, so no routed
+// mutation lands between the placement and the segments it describes.
+//
+// A segment snapshot holds only its live documents, renumbered densely in
+// local order, so the placement lists exactly those: deleted documents and
+// the superseded versions of updated ones are left out. Load renumbers
+// the global ids densely in placement order.
 func (s *DB) Save(w io.Writer) error {
-	fw := db.NewWriter(w)
-	_, _ = fw.Write([]byte(fileMagic))
-	fw.Byte(byte(s.opts.Strategy))
-	fw.Uvarint(uint64(len(s.segs)))
-	fw.Uvarint(uint64(len(s.docs)))
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	for gid, ref := range s.docs {
 		if ref.shard < 0 {
 			return fmt.Errorf("shard: save: global id %d is a burned slot (drifted replica; re-sync from a healthy copy instead of saving)", gid)
 		}
+	}
+	placement := s.livePlacementLocked()
+	fw := db.NewWriter(w)
+	_, _ = fw.Write([]byte(fileMagic))
+	fw.Byte(byte(s.opts.Strategy))
+	fw.Uvarint(uint64(len(s.segs)))
+	fw.Uvarint(uint64(len(placement)))
+	for _, gid := range placement {
 		fw.String(s.names[gid])
-		fw.Uvarint(uint64(ref.shard))
+		fw.Uvarint(uint64(s.docs[gid].shard))
 	}
 	for _, seg := range s.segs {
 		var buf bytes.Buffer
@@ -58,6 +70,41 @@ func (s *DB) Save(w io.Writer) error {
 		_, _ = fw.Write(buf.Bytes())
 	}
 	return fw.Close()
+}
+
+// livePlacementLocked lists the global ids of the live documents so that
+// each segment's documents appear in local order — the order its snapshot
+// writes them in — merged across segments by global id (an Update gives a
+// document a larger local id but keeps its global one, so one segment's
+// run need not be sorted by global id). Caller holds s.mu.
+func (s *DB) livePlacementLocked() []storage.DocID {
+	runs := make([][]storage.DocID, len(s.segs))
+	total := 0
+	for i, globals := range s.globalOf {
+		for local, gid := range globals {
+			ref := s.docs[gid]
+			if ref.shard != i || int(ref.local) != local {
+				continue // a superseded version of an updated document
+			}
+			if live, ok := s.byName[s.names[gid]]; !ok || live != gid {
+				continue // deleted
+			}
+			runs[i] = append(runs[i], gid)
+		}
+		total += len(runs[i])
+	}
+	out := make([]storage.DocID, 0, total)
+	for len(out) < total {
+		pick := -1
+		for i, run := range runs {
+			if len(run) > 0 && (pick < 0 || run[0] < runs[pick][0]) {
+				pick = i
+			}
+		}
+		out = append(out, runs[pick][0])
+		runs[pick] = runs[pick][1:]
+	}
+	return out
 }
 
 // SaveFile writes the sharded database to path.

@@ -3,11 +3,15 @@ package shard
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/db"
+	"repro/internal/exec"
 )
 
 func TestShardedSaveLoadRoundTrip(t *testing.T) {
@@ -161,4 +165,104 @@ func TestReshardPreservesResults(t *testing.T) {
 		}
 		sameScored(t, "after reshard", got, want)
 	}
+}
+
+// TestSaveAfterDeleteAndUpdate: a snapshot taken after routed mutations
+// lists only the live documents, in the order each segment file holds
+// them, so it reopens and answers like the database that wrote it. Global
+// ids are renumbered densely on reload, so answers are compared by
+// document name.
+func TestSaveAfterDeleteAndUpdate(t *testing.T) {
+	body := func(i int, v string) string {
+		return fmt.Sprintf(`<d><t>alpha beta w%d %s</t><u>beta gamma %s</u></d>`, i, v, v)
+	}
+	for _, n := range []int{1, 3} {
+		s := New(Options{Shards: n, Strategy: RoundRobin})
+		for i := 0; i < 7; i++ {
+			if err := s.Add(fmt.Sprintf("doc%d.xml", i), body(i, "old")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Delete("doc2.xml"); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"doc1.xml", "doc4.xml"} {
+			if err := s.Update(name, body(9, "alpha new")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Warm()
+		var buf bytes.Buffer
+		if err := s.Save(&buf); err != nil {
+			t.Fatalf("shards=%d: save: %v", n, err)
+		}
+		loaded, err := Load(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("shards=%d: load: %v", n, err)
+		}
+		if got := loaded.DocumentCount(); got != 6 {
+			t.Fatalf("shards=%d: reloaded %d documents, want 6", n, got)
+		}
+		if _, ok := loaded.ShardOf("doc2.xml"); ok {
+			t.Fatalf("shards=%d: deleted document reloaded", n)
+		}
+		s.CompactNow() // drop the tombstoned postings Stats would still count
+		if got, want := loaded.Stats(), s.Stats(); got != want {
+			t.Fatalf("shards=%d: stats %+v, want %+v", n, got, want)
+		}
+		for _, terms := range [][]string{{"alpha"}, {"beta", "gamma"}, {"new"}} {
+			label := fmt.Sprintf("shards=%d terms=%v", n, terms)
+			want, err := s.TermSearch(terms, db.TermSearchOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := loaded.TermSearch(terms, db.TermSearchOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := scoredByName(loaded, got), scoredByName(s, want); !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s: reloaded %v, want %v", label, g, w)
+			}
+		}
+		phrase := []string{"alpha", "beta"}
+		want, err := s.PhraseSearch(phrase)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := loaded.PhraseSearch(phrase)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := phraseByName(loaded, got), phraseByName(s, want); !reflect.DeepEqual(g, w) {
+			t.Fatalf("shards=%d phrase: reloaded %v, want %v", n, g, w)
+		}
+		// The reopened database saves and reopens again.
+		buf.Reset()
+		if err := loaded.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatalf("shards=%d: second reload: %v", n, err)
+		}
+	}
+}
+
+// scoredByName renders scored results as sorted "name/ord/score" keys.
+func scoredByName(s *DB, rs []exec.ScoredNode) []string {
+	out := make([]string, len(rs))
+	for i, r := range rs {
+		out[i] = fmt.Sprintf("%s/%d/%.9g", s.DocName(r.Doc), r.Ord, r.Score)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// phraseByName renders phrase matches as sorted "name/node/pos" keys.
+func phraseByName(s *DB, ms []exec.PhraseMatch) []string {
+	out := make([]string, len(ms))
+	for i, m := range ms {
+		out[i] = fmt.Sprintf("%s/%d/%d", s.DocName(m.Doc), m.Node, m.Pos)
+	}
+	sort.Strings(out)
+	return out
 }
